@@ -8,15 +8,42 @@ use crate::ops::OpCounts;
 use crate::sample::Sample;
 use hdr_image::{ImageBuffer, LuminanceImage};
 
+/// Number of independent accumulators in [`max_pixel`]: four 8-wide
+/// vectors, enough to hide the latency of the compare-and-select chain.
+const MAX_LANES: usize = 32;
+
 /// Returns the maximum pixel value of an HDR image (ignoring non-finite
-/// samples), used as the normalization divisor.
+/// samples), used as the normalization divisor. The result is never below
+/// `0.0`, which is what an empty, all-negative or all-non-finite image
+/// returns.
+///
+/// The reduction runs over 32 lane accumulators, each starting
+/// at `0.0`, where a non-finite sample contributes `0.0`. Every positive
+/// value is a unique float, so any reduction order returns the same
+/// positive maximum as a serial fold, and [`normalization_scale`] does not
+/// depend on the lane width.
 pub fn max_pixel(image: &LuminanceImage) -> f32 {
-    image
-        .pixels()
-        .iter()
-        .copied()
-        .filter(|v| v.is_finite())
-        .fold(0.0f32, f32::max)
+    // `b > a` (rather than `f32::max`) compiles to a plain vector max: no
+    // NaN reaches it, and a later `-0.0` never replaces a `0.0`.
+    let step = |a: f32, b: f32| {
+        let b = if b.is_finite() { b } else { 0.0 };
+        if b > a {
+            b
+        } else {
+            a
+        }
+    };
+    let (chunks, rest) = image.pixels().as_chunks::<MAX_LANES>();
+    let mut lanes = [0.0f32; MAX_LANES];
+    for chunk in chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = step(*lane, v);
+        }
+    }
+    lanes
+        .into_iter()
+        .chain(rest.iter().copied())
+        .fold(0.0, step)
 }
 
 /// The reciprocal of the normalization divisor, or `None` when the image
@@ -136,6 +163,84 @@ mod tests {
         let n = normalize(&img);
         assert_eq!(n.pixels(), &[0.0, 0.0, -1.0]);
         assert_eq!(normalization_scale(&img), None);
+    }
+
+    /// The serial reduction [`max_pixel`] replaced.
+    fn scalar_max(pixels: &[f32]) -> f32 {
+        pixels
+            .iter()
+            .copied()
+            .filter(|v| v.is_finite())
+            .fold(0.0f32, f32::max)
+    }
+
+    fn image_of(pixels: &[f32]) -> Option<LuminanceImage> {
+        (!pixels.is_empty())
+            .then(|| LuminanceImage::from_vec(pixels.len(), 1, pixels.to_vec()).unwrap())
+    }
+
+    /// Asserts that the lane reduction equals the serial fold: bit for bit
+    /// when the maximum is positive, and as a zero otherwise (the serial
+    /// fold may return either sign of zero).
+    fn assert_matches_scalar(pixels: &[f32]) {
+        let expected = scalar_max(pixels);
+        let Some(image) = image_of(pixels) else {
+            assert_eq!(expected, 0.0);
+            return;
+        };
+        let got = max_pixel(&image);
+        if expected > 0.0 {
+            assert_eq!(got.to_bits(), expected.to_bits(), "{pixels:?}");
+        } else {
+            assert_eq!(got, 0.0, "{pixels:?}");
+            assert_eq!(normalization_scale(&image), None, "{pixels:?}");
+        }
+    }
+
+    #[test]
+    fn lane_reduction_matches_the_serial_fold_across_the_lane_width() {
+        let poisons = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, -3.5];
+        for len in 0..=(MAX_LANES + 8) {
+            // A strictly increasing ramp, so the maximum is a single sample.
+            let ramp: Vec<f32> = (0..len).map(|i| 0.25 + i as f32 * 1.5).collect();
+            assert_matches_scalar(&ramp);
+            let mut descending = ramp.clone();
+            descending.reverse();
+            assert_matches_scalar(&descending);
+            // Each poison at each position: inside the full lane chunks and
+            // inside the remainder, including where the maximum sat.
+            for &poison in &poisons {
+                for at in 0..len {
+                    let mut pixels = ramp.clone();
+                    pixels[at] = poison;
+                    assert_matches_scalar(&pixels);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_reduction_ignores_non_finite_samples_and_signed_zeros() {
+        let len = MAX_LANES * 2 + 5;
+        for fill in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0] {
+            let pixels = vec![fill; len];
+            assert_matches_scalar(&pixels);
+            let image = image_of(&pixels).unwrap();
+            assert_eq!(max_pixel(&image).to_bits(), 0.0f32.to_bits());
+        }
+        let mut mixed = vec![-0.0f32; len];
+        mixed[MAX_LANES + 1] = f32::MIN_POSITIVE;
+        mixed[len - 1] = f32::NAN;
+        assert_matches_scalar(&mixed);
+    }
+
+    #[test]
+    fn all_negative_frames_have_no_normalization_scale() {
+        for len in [1, MAX_LANES - 1, MAX_LANES, MAX_LANES + 3, 3 * MAX_LANES] {
+            let pixels: Vec<f32> = (0..len).map(|i| -1.0 - i as f32).collect();
+            assert_matches_scalar(&pixels);
+            assert_eq!(normalization_scale(&image_of(&pixels).unwrap()), None);
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! in fused raster order:
 //!
 //! * **point ops** (normalize, invert, mask, adjust, gamma, log curve,
-//!   Reinhard) fuse freely into the per-sample chains of whichever fused
-//!   region consumes them;
+//!   Reinhard) fuse freely into whichever fused region consumes them, and
+//!   run *op-major* over each row: every op sweeps the whole row in its
+//!   own loop before the next op starts;
 //! * **each stencil op** (a separable Gaussian blur) becomes its own
 //!   rolling ring of `2·radius + 1` horizontally-blurred rows — one line
 //!   buffer per stencil, cascaded back-to-back so stage *k*'s ring is fed
@@ -227,9 +228,9 @@ impl fmt::Display for StreamingDecision {
     }
 }
 
-/// A point op compiled for the per-sample `f32` chains of the fused pass.
-/// Each arm applies exactly the arithmetic of the two-pass stage functions,
-/// so fused and materialized execution stay bit-identical.
+/// A point op compiled for the op-major `f32` row passes of the fused
+/// cascade. Each arm applies exactly the arithmetic of the two-pass stage
+/// functions, so fused and materialized execution stay bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum CompiledPointOp {
     Invert,
@@ -280,29 +281,52 @@ impl CompiledPointOp {
         }
     }
 
-    #[inline]
-    fn apply(&self, value: f32, mask: Option<f32>) -> f32 {
+    /// Applies this op to every sample of `row` in place, with `mask` the
+    /// row's blurred mask stream (`None` before the first stencil). The op
+    /// is matched once per row, so each arm is a plain loop over the slice
+    /// that the compiler can unroll and, where the arithmetic allows,
+    /// vectorise. Every element goes through the same per-sample function
+    /// as the two-pass stage, so the result is bit-identical.
+    fn apply_row(&self, row: &mut [f32], mask: Option<&[f32]>) {
         match *self {
-            CompiledPointOp::Invert => 1.0 - value,
-            CompiledPointOp::Mask(masking) => masked_sample(
-                value,
-                mask.expect("plan validation pairs mask with blur"),
-                &masking,
-            ),
-            CompiledPointOp::Adjust { contrast, offset } => {
-                adjusted_sample(value, 0.5f32, contrast, offset)
+            CompiledPointOp::Invert => map_row(row, |v| 1.0 - v),
+            CompiledPointOp::Mask(masking) => {
+                let mask = mask.expect("plan validation pairs mask with blur");
+                for (v, &m) in row.iter_mut().zip(mask) {
+                    *v = masked_sample(*v, m, &masking);
+                }
             }
-            CompiledPointOp::Gamma(gamma) => Sample::powf(value, gamma).clamp01(),
-            CompiledPointOp::LogCurve(scale) => log_curve_sample(value, scale),
-            CompiledPointOp::Reinhard { key, white } => reinhard_sample(value, key, white),
-            CompiledPointOp::PqOetf(peak) => color::pq_oetf(value, peak),
-            CompiledPointOp::PqEotf(peak) => color::pq_eotf(value, peak),
-            CompiledPointOp::HlgOetf => color::hlg_oetf(value),
-            CompiledPointOp::HlgEotf => color::hlg_eotf(value),
-            CompiledPointOp::Hable(exposure) => color::hable_sample(value, exposure),
-            CompiledPointOp::Aces(exposure) => color::aces_sample(value, exposure),
-            CompiledPointOp::Drago(bias) => color::drago_sample(value, bias),
+            CompiledPointOp::Adjust { contrast, offset } => {
+                map_row(row, |v| adjusted_sample(v, 0.5f32, contrast, offset))
+            }
+            CompiledPointOp::Gamma(gamma) => map_row(row, |v| Sample::powf(v, gamma).clamp01()),
+            CompiledPointOp::LogCurve(scale) => map_row(row, |v| log_curve_sample(v, scale)),
+            CompiledPointOp::Reinhard { key, white } => {
+                map_row(row, |v| reinhard_sample(v, key, white))
+            }
+            CompiledPointOp::PqOetf(peak) => map_row(row, |v| color::pq_oetf(v, peak)),
+            CompiledPointOp::PqEotf(peak) => map_row(row, |v| color::pq_eotf(v, peak)),
+            CompiledPointOp::HlgOetf => map_row(row, color::hlg_oetf),
+            CompiledPointOp::HlgEotf => map_row(row, color::hlg_eotf),
+            CompiledPointOp::Hable(exposure) => map_row(row, |v| color::hable_sample(v, exposure)),
+            CompiledPointOp::Aces(exposure) => map_row(row, |v| color::aces_sample(v, exposure)),
+            CompiledPointOp::Drago(bias) => map_row(row, |v| color::drago_sample(v, bias)),
         }
+    }
+}
+
+/// Replaces every sample of `row` with `f(sample)`.
+fn map_row(row: &mut [f32], f: impl Fn(f32) -> f32) {
+    for v in row {
+        *v = f(*v);
+    }
+}
+
+/// Runs a point-op chain over one row, op-major: each op sweeps the whole
+/// row before the next one starts.
+fn apply_chain(chain: &[CompiledPointOp], row: &mut [f32], mask: Option<&[f32]>) {
+    for op in chain {
+        op.apply_row(row, mask);
     }
 }
 
@@ -469,11 +493,15 @@ enum Ingest {
 }
 
 impl Ingest {
-    #[inline]
-    fn apply(self, raw: f32) -> f32 {
+    /// Ingests one input row into `dst`.
+    fn row(self, raw: &[f32], dst: &mut [f32]) {
         match self {
-            Ingest::Source(scale) => normalize_sample(raw, scale),
-            Ingest::Passthrough => raw,
+            Ingest::Source(scale) => {
+                for (d, &r) in dst.iter_mut().zip(raw) {
+                    *d = normalize_sample(r, scale);
+                }
+            }
+            Ingest::Passthrough => dst.copy_from_slice(raw),
         }
     }
 }
@@ -784,12 +812,12 @@ fn run_fused_segment<S: Sample>(
         // Pure point chain: every pixel is independent, nothing to ring.
         let point_rows = |first_row: usize, chunk: &mut [f32]| {
             let pixels = &input.pixels()[first_row * width..first_row * width + chunk.len()];
-            for (dst, &raw) in chunk.iter_mut().zip(pixels) {
-                let mut v = ingest.apply(raw);
-                for op in &segment.epilog {
-                    v = op.apply(v, None);
-                }
-                *dst = v;
+            for (dst, raw) in chunk
+                .chunks_exact_mut(width)
+                .zip(pixels.chunks_exact(width))
+            {
+                ingest.row(raw, dst);
+                apply_chain(&segment.epilog, dst, None);
             }
         };
         if threads <= 1 {
@@ -830,9 +858,8 @@ struct RegionState<S: Sample> {
     padded: Vec<S>,
     /// Vertical accumulator scratch row.
     vacc: Vec<S>,
-    /// Scratch rows receiving the upstream region's value/mask streams
-    /// (empty for the first region, which reads the segment input).
-    up_v: Vec<f32>,
+    /// Scratch row receiving the upstream region's mask stream (empty for
+    /// the first region, which reads the segment input).
     up_mask: Vec<f32>,
     /// The next source row this region will produce — rows are produced
     /// lazily, in order, the moment a consumer's vertical window first
@@ -845,17 +872,16 @@ impl<S: Sample> RegionState<S> {
         let taps = region.kernel.len();
         let radius = taps / 2;
         let len = taps.min(height).max(1);
-        let (up_v, up_mask) = if has_upstream {
-            (vec![0.0f32; width], vec![0.0f32; width])
+        let up_mask = if has_upstream {
+            vec![0.0f32; width]
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         RegionState {
             hrows: vec![vec![S::zero(); width]; len],
             vrows: vec![vec![0.0f32; width]; len],
             padded: vec![S::zero(); width + 2 * radius],
             vacc: vec![S::zero(); width],
-            up_v,
             up_mask,
             next_row: None,
         }
@@ -880,7 +906,6 @@ fn run_rows<S: Sample>(
         .enumerate()
         .map(|(i, region)| RegionState::new(region, width, height, i > 0))
         .collect();
-    let mut v_row = vec![0.0f32; width];
     let mut mask_row = vec![0.0f32; width];
     for (row_index, out_row) in out.chunks_exact_mut(width).enumerate() {
         let y = first_row + row_index;
@@ -890,19 +915,12 @@ fn run_rows<S: Sample>(
             input,
             ingest,
             y,
-            &mut v_row,
+            out_row,
             &mut mask_row,
         );
-        // Fused point-wise tail: the epilog chain runs against the last
-        // region's value stream and blurred mask.
-        for ((dst, &value), &mask) in out_row.iter_mut().zip(v_row.iter()).zip(mask_row.iter()) {
-            let mut v = value;
-            let mask = Some(mask);
-            for op in &segment.epilog {
-                v = op.apply(v, mask);
-            }
-            *dst = v;
-        }
+        // Point-wise tail: the epilog chain runs in place over the last
+        // region's value stream, against its blurred mask.
+        apply_chain(&segment.epilog, out_row, Some(&mask_row));
     }
 }
 
@@ -941,42 +959,27 @@ fn emit_row<S: Sample>(
     let mut next = state.next_row.unwrap_or_else(|| y.saturating_sub(radius));
     while next <= newest_needed {
         let slot = next % len;
+        let vrow = &mut state.vrows[slot];
         if upstream_regions.is_empty() {
             // First region: the value stream is the ingested segment input
             // through this region's point chain (mask-free by plan
             // validation — no mask exists before the first stencil).
-            let raw_row = &input.pixels()[next * width..(next + 1) * width];
-            for (dst, &raw) in state.vrows[slot].iter_mut().zip(raw_row) {
-                let mut v = ingest.apply(raw);
-                for op in &region.chain {
-                    v = op.apply(v, None);
-                }
-                *dst = v;
-            }
+            ingest.row(&input.pixels()[next * width..(next + 1) * width], vrow);
+            apply_chain(&region.chain, vrow, None);
         } else {
-            // Later region: pull the upstream row on demand, then run this
-            // region's chain against the upstream value/mask streams.
+            // Later region: pull the upstream row on demand straight into
+            // the ring slot, then run this region's chain over it in place
+            // against the upstream mask stream.
             emit_row(
                 upstream_regions,
                 upstream_states,
                 input,
                 ingest,
                 next,
-                &mut state.up_v,
+                vrow,
                 &mut state.up_mask,
             );
-            for ((dst, &value), &mask) in state.vrows[slot]
-                .iter_mut()
-                .zip(state.up_v.iter())
-                .zip(state.up_mask.iter())
-            {
-                let mut v = value;
-                let mask = Some(mask);
-                for op in &region.chain {
-                    v = op.apply(v, mask);
-                }
-                *dst = v;
-            }
+            apply_chain(&region.chain, vrow, Some(&state.up_mask));
         }
         fill_blurred_row(
             &mut state.hrows[slot],
@@ -1518,6 +1521,133 @@ mod tests {
         let mapper = StreamingToneMapper::<f32>::compile(plan, p).unwrap();
         assert!(mapper.decision().is_fused());
         assert!(mapper.kernel().is_empty());
+    }
+
+    /// The name of a compiled point op's variant. The match has no
+    /// wildcard, so a new variant does not compile until it is named here;
+    /// the test below then needs a plan op for it and a higher count.
+    fn variant_name(op: CompiledPointOp) -> &'static str {
+        match op {
+            CompiledPointOp::Invert => "invert",
+            CompiledPointOp::Mask(_) => "mask",
+            CompiledPointOp::Adjust { .. } => "adjust",
+            CompiledPointOp::Gamma(_) => "gamma",
+            CompiledPointOp::LogCurve(_) => "log-curve",
+            CompiledPointOp::Reinhard { .. } => "reinhard",
+            CompiledPointOp::PqOetf(_) => "pq-oetf",
+            CompiledPointOp::PqEotf(_) => "pq-eotf",
+            CompiledPointOp::HlgOetf => "hlg-oetf",
+            CompiledPointOp::HlgEotf => "hlg-eotf",
+            CompiledPointOp::Hable(_) => "hable",
+            CompiledPointOp::Aces(_) => "aces",
+            CompiledPointOp::Drago(_) => "drago",
+        }
+    }
+
+    /// A frame with NaN, ±∞, negative and large samples at every residue,
+    /// so each poison lands in every column of narrow frames and across
+    /// the rows of wide ones.
+    fn poisoned_frame(width: usize) -> LuminanceImage {
+        LuminanceImage::from_fn(width, 11, |x, y| match (x * 7 + y * 3) % 11 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.5 - x as f32 * 0.37,
+            4 => 250.0 + y as f32,
+            _ => ((x * 13 + y * 29) % 97) as f32 * 0.0173,
+        })
+    }
+
+    fn bits(image: &LuminanceImage) -> Vec<u32> {
+        image.pixels().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_point_op_runs_op_major_bit_identical_to_two_pass() {
+        let masking = MaskingParams::paper_default();
+        let mask = PipelineOp::Mask(masking);
+        let blur = PipelineOp::BlurMask {
+            blur: BlurParams {
+                sigma: 1.5,
+                radius: 3,
+            },
+            invert_input: true,
+        };
+        let ops = [
+            PipelineOp::Invert,
+            mask,
+            PipelineOp::Adjust(AdjustParams::paper_default()),
+            PipelineOp::Gamma { gamma: 0.8 },
+            PipelineOp::LogCurve { scale: 40.0 },
+            PipelineOp::Reinhard {
+                key: 0.6,
+                white: 1.5,
+            },
+            PipelineOp::PqOetf { peak_nits: 1000.0 },
+            PipelineOp::PqEotf { peak_nits: 1000.0 },
+            PipelineOp::HlgOetf,
+            PipelineOp::HlgEotf,
+            PipelineOp::Hable { exposure: 4.0 },
+            PipelineOp::Aces { exposure: 1.5 },
+            PipelineOp::Drago { bias: 0.85 },
+        ];
+        let covered: std::collections::BTreeSet<&str> = ops
+            .iter()
+            .map(|op| variant_name(CompiledPointOp::from_op(op)))
+            .collect();
+        assert_eq!(covered.len(), 13, "one plan op per compiled variant");
+
+        let frames: Vec<LuminanceImage> = [1, 7, 17, 1023].map(poisoned_frame).into();
+        let p = ToneMapParams::paper_default();
+        for op in ops {
+            // Where the op runs: alone in a point-only pass (a mask needs a
+            // stencil, so it has none), in the first region's chain, in a
+            // later region's chain against the upstream mask, and in the
+            // epilog against the last region's mask.
+            let shapes = if op == mask {
+                vec![
+                    ("region chain", vec![blur, op, blur, mask]),
+                    ("epilog", vec![blur, op]),
+                ]
+            } else {
+                vec![
+                    ("point-only", vec![op]),
+                    ("prolog", vec![op, blur, mask]),
+                    ("region chain", vec![blur, op, mask, blur, mask]),
+                    ("epilog", vec![blur, op, mask]),
+                ]
+            };
+            for (shape, body) in shapes {
+                // With a leading normalize the poisons are sanitized and
+                // clamped; without one, negatives and large values reach
+                // the op itself.
+                for normalize in [true, false] {
+                    let mut stages = if normalize {
+                        vec![PipelineOp::Normalize]
+                    } else {
+                        Vec::new()
+                    };
+                    stages.extend(body.iter().copied());
+                    let plan = PipelinePlan::new(stages).unwrap();
+                    let two_pass = ToneMapper::compile(plan.clone(), p).unwrap();
+                    let streaming = StreamingToneMapper::<f32>::compile(plan, p).unwrap();
+                    assert!(streaming.decision().is_fused());
+                    for frame in &frames {
+                        let expected = bits(&two_pass.map_luminance_hw_blur::<f32>(frame));
+                        for threads in [1, 3] {
+                            let got = streaming.clone().with_threads(threads).map_luminance(frame);
+                            assert!(
+                                bits(&got) == expected,
+                                "{} as {shape} (normalize {normalize}) diverged at width {}, \
+                                 {threads} threads",
+                                variant_name(CompiledPointOp::from_op(&op)),
+                                frame.width(),
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! The paper's Fig. 5b/5c are 8-bit tone-mapped renderings; this module lets
 //! the examples and benches dump their equivalents for visual inspection.
 
+use super::{payload_len, read_payload};
 use crate::error::ImageError;
 use crate::rgb::Rgb;
 use crate::{ImageBuffer, LdrImage};
@@ -40,8 +41,9 @@ pub fn write_ppm<W: Write>(image: &ImageBuffer<Rgb<u8>>, mut writer: W) -> Resul
 ///
 /// # Errors
 ///
-/// Returns [`ImageError::Decode`] for malformed headers, unsupported maxval
-/// or missing pixel data.
+/// Returns [`ImageError::Decode`] for malformed headers or unsupported
+/// maxval, [`ImageError::InvalidDimensions`] for zero or overflowing
+/// dimensions and [`ImageError::Io`] for missing pixel data.
 pub fn read_pgm<R: Read>(reader: R) -> Result<LdrImage, ImageError> {
     let mut reader = BufReader::new(reader);
     let decode_err = |reason: &str| ImageError::Decode {
@@ -78,8 +80,7 @@ pub fn read_pgm<R: Read>(reader: R) -> Result<LdrImage, ImageError> {
     if width == 0 || height == 0 {
         return Err(ImageError::InvalidDimensions { width, height });
     }
-    let mut data = vec![0u8; width * height];
-    reader.read_exact(&mut data)?;
+    let data = read_payload(&mut reader, payload_len(width, height, 1)?)?;
     LdrImage::from_vec(width, height, data)
 }
 
@@ -118,6 +119,19 @@ mod tests {
     fn pgm_rejects_wrong_magic_and_maxval() {
         assert!(read_pgm(b"P6\n1 1\n255\n\0".as_slice()).is_err());
         assert!(read_pgm(b"P5\n1 1\n65535\n\0\0".as_slice()).is_err());
+    }
+
+    #[test]
+    fn pgm_rejects_overflowing_header_dimensions() {
+        // width * height overflows usize.
+        let err = read_pgm(b"P5\n4611686018427387904 8\n255\n\0".as_slice()).unwrap_err();
+        assert!(
+            matches!(err, ImageError::InvalidDimensions { height: 8, .. }),
+            "{err:?}"
+        );
+        // A size that fits usize but not the stream is a short read.
+        let err = read_pgm(b"P5\n4294967296 4294967295\n255\n\0".as_slice()).unwrap_err();
+        assert!(matches!(err, ImageError::Io(_)), "{err:?}");
     }
 
     #[test]

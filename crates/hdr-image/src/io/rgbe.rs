@@ -6,6 +6,7 @@
 //! or with the "new" run-length encoding. Both variants are decoded; the
 //! writer always emits flat (uncompressed) scanlines for simplicity.
 
+use super::{bounded_vec, payload_len, read_payload};
 use crate::error::ImageError;
 use crate::rgb::Rgb;
 use crate::RgbImage;
@@ -121,7 +122,7 @@ pub fn read_rgbe<R: Read>(reader: R) -> Result<RgbImage, ImageError> {
     }
 
     // --- Scanlines ----------------------------------------------------------
-    let mut pixels = Vec::with_capacity(width * height);
+    let mut pixels = bounded_vec(payload_len(width, height, 4)? / 4);
     for _ in 0..height {
         let scanline = read_scanline(&mut reader, width)?;
         pixels.extend(scanline.into_iter().map(decode_rgbe));
@@ -146,14 +147,9 @@ fn read_scanline<R: BufRead>(reader: &mut R, width: usize) -> Result<Vec<[u8; 4]
         && (8..32768).contains(&width);
     if !is_new_rle {
         // Flat scanline: the four bytes already read are the first pixel.
-        let mut pixels = Vec::with_capacity(width);
-        pixels.push(lead);
-        for _ in 1..width {
-            let mut px = [0u8; 4];
-            reader.read_exact(&mut px)?;
-            pixels.push(px);
-        }
-        return Ok(pixels);
+        let rest = read_payload(&mut *reader, (width - 1) * 4)?;
+        let (quads, _) = rest.as_chunks::<4>();
+        return Ok(std::iter::once(lead).chain(quads.iter().copied()).collect());
     }
 
     // New RLE: four separate component planes, each run-length encoded.
@@ -253,6 +249,22 @@ mod tests {
         write_rgbe(&rgb, &mut buf).unwrap();
         buf.truncate(buf.len() - 8);
         assert!(read_rgbe(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn overflowing_header_dimensions_are_rejected_not_panicking() {
+        // width * height overflows usize.
+        let data = b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y 4 +X 4611686018427387904\n\0\0\0\0";
+        let err = read_rgbe(data.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, ImageError::InvalidDimensions { height: 4, .. }),
+            "{err:?}"
+        );
+        // One huge flat scanline that fits usize but not the stream is a
+        // short read, not an up-front allocation of the claimed row.
+        let data = b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y 1 +X 1152921504606846976\n\0\0\0\0";
+        let err = read_rgbe(data.as_slice()).unwrap_err();
+        assert!(matches!(err, ImageError::Io(_)), "{err:?}");
     }
 
     #[test]
