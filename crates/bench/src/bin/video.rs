@@ -16,7 +16,7 @@
 //!    converge to the independent output within K = 3 frames of the cut
 //!    (the reset makes it snap at the cut itself).
 //! 4. **Stream throughput** — a service video stream (per-stream FIFO,
-//!    frame-pool staging, turn gate) must deliver at least 0.9x the
+//!    frame-pool staging, frame hand-off) must deliver at least 0.9x the
 //!    throughput of the same frames as independent single-frame jobs on
 //!    an identically-sized service: ordering must not cost serving speed.
 //!
@@ -179,9 +179,10 @@ fn main() {
 
     // 4 — stream throughput vs single-frame jobs. Same frames, same
     // engine, identically-sized single-worker services so the comparison
-    // isolates the stream machinery (shard pin, turn gate, staging). Each
-    // side warms up untimed and keeps its best of three timed reps, so
-    // scheduler noise on a shared CI host cannot flip the verdict.
+    // isolates the stream machinery (shard pin, hand-off, staging). Each
+    // side warms up untimed and keeps its best of seven timed reps. The
+    // reps alternate job, stream, job, stream, … so host drift over the
+    // run lands on both sides alike instead of skewing the ratio.
     let throughput_sequence = FrameSequence::new(
         SequenceKind::ExposureRamp { decades: 1.0 },
         SceneKind::MemorialComposite,
@@ -194,7 +195,7 @@ fn main() {
     let config = ServiceConfig::with_workers(1)
         .shards(1)
         .queue_capacity(frames.len().max(1) + 1);
-    const REPS: usize = 3;
+    const REPS: usize = 7;
 
     let measure_jobs = || {
         let service = TonemapService::standard(config);
@@ -259,8 +260,11 @@ fn main() {
         service.shutdown();
         seconds
     };
-    let job_seconds = (0..REPS).map(|_| measure_jobs()).fold(f64::MAX, f64::min);
-    let stream_seconds = (0..REPS).map(|_| measure_stream()).fold(f64::MAX, f64::min);
+    let (mut job_seconds, mut stream_seconds) = (f64::MAX, f64::MAX);
+    for _ in 0..REPS {
+        job_seconds = job_seconds.min(measure_jobs());
+        stream_seconds = stream_seconds.min(measure_stream());
+    }
 
     let job_fps = frames.len() as f64 / job_seconds;
     let stream_fps = frames.len() as f64 / stream_seconds;

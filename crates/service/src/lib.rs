@@ -34,8 +34,8 @@
 //!   [`FrameSequenceRequest`] opens a `tonemap-video` temporal session on
 //!   the service ([`TonemapService::open_stream`]); its frames ride the
 //!   same sharded pool with per-stream FIFO order (shard affinity plus a
-//!   turn gate) while distinct streams overlap across workers, staging
-//!   through the [`FramePool`] and counted separately
+//!   hand-off between frame tasks) while distinct streams overlap across
+//!   workers, staging through the [`FramePool`] and counted separately
 //!   ([`ServiceStats::frames_completed`], [`ServiceStats::streams_active`]).
 //! * [`ServiceStats`] — aggregate telemetry: throughput, queue depth,
 //!   steals, per-class streaming latency histograms

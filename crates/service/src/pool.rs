@@ -13,11 +13,18 @@
 //! next to run, and per-submitter FIFO order survives any interleaving of
 //! local pops and steals.
 //!
+//! All queue state — the shards, the shutdown flag, the counters — sits
+//! behind **one mutex**, with two condvars: `work` for idle workers and
+//! `space` for blocked submitters. Queue depths are derived from the
+//! deque lengths, so no count can drift from the queues it describes.
+//!
 //! Three invariants the tests lean on:
 //!
-//! 1. **Work conservation** — a worker only sleeps after scanning *every*
-//!    shard and finding nothing; the eventcount sequence check below makes
-//!    the sleep race-free.
+//! 1. **Work conservation** — a worker scans every shard, pops, stamps,
+//!    and decides to exit or sleep all under the one lock, and sleeps on
+//!    `work` only after a dry scan with shutdown not raised. Every push
+//!    and the shutdown flag are written under that lock before `work` is
+//!    signalled, so a wake-up cannot be lost.
 //! 2. **Priority never inverts within a shard** — a batch task is popped
 //!    from a shard only when that shard's interactive deque is empty at
 //!    pop time. (Priority is per-shard, not global: a steal may run a
@@ -25,7 +32,7 @@
 //!    that is the price of shard independence, and the property tests
 //!    encode exactly this boundary.)
 //! 3. **Dequeue order is observable** — every pop is stamped with a
-//!    globally monotonic `dequeue_seq` *while the shard lock is held*, so
+//!    globally monotonic `dequeue_seq` *while the pool lock is held*, so
 //!    tests can assert FIFO and priority order post-hoc at any worker
 //!    count without instrumenting the scheduler.
 //!
@@ -45,12 +52,13 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Priority class of a job: which deque it queues in within its shard.
+/// Variants are declared in rank order; the pool indexes its deques by
+/// `priority as usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
     /// Latency-sensitive work: always dequeued before batch work queued in
@@ -86,7 +94,7 @@ pub enum TaskFate {
     Execute {
         /// `true` when a worker other than the shard's owner popped it.
         stolen: bool,
-        /// Globally monotonic dequeue stamp, assigned under the shard
+        /// Globally monotonic dequeue stamp, assigned under the pool
         /// lock: within one shard, ascending `dequeue_seq` is exactly
         /// dequeue order.
         dequeue_seq: u64,
@@ -153,83 +161,76 @@ struct QueuedTask {
     deadline: Option<Instant>,
 }
 
-#[derive(Default)]
-struct ShardQueues {
-    interactive: VecDeque<QueuedTask>,
-    batch: VecDeque<QueuedTask>,
-}
+/// One shard: a FIFO deque per class, indexed by `Priority as usize`, so
+/// scanning the deques in index order takes interactive before batch.
+type ShardQueues = [VecDeque<QueuedTask>; 2];
 
-impl ShardQueues {
-    fn pop_front(&mut self) -> Option<(QueuedTask, Priority)> {
-        if let Some(task) = self.interactive.pop_front() {
-            Some((task, Priority::Interactive))
-        } else {
-            self.batch.pop_front().map(|task| (task, Priority::Batch))
-        }
-    }
-}
-
-/// Capacity gate: the single source of truth for "how much is queued",
-/// guarded by one mutex so blocking submitters and the shutdown drain
-/// check cannot race it.
+/// Everything the pool schedules by, behind the one lock: the queues, the
+/// shutdown flag and the counters. Queue depths are derived from the
+/// deque lengths, never mirrored.
 #[derive(Default)]
-struct SpaceState {
-    queued_interactive: usize,
-    queued_batch: usize,
+struct PoolState {
+    shards: Vec<ShardQueues>,
     shutdown: bool,
+    next_shard: usize,
+    dequeue_seq: u64,
+    steals: u64,
+    expired: u64,
 }
 
-impl SpaceState {
-    fn total(&self) -> usize {
-        self.queued_interactive + self.queued_batch
+impl PoolState {
+    fn queued_in_class(&self, priority: Priority) -> usize {
+        self.shards.iter().map(|s| s[priority as usize].len()).sum()
     }
 
-    fn add(&mut self, priority: Priority) {
-        match priority {
-            Priority::Interactive => self.queued_interactive += 1,
-            Priority::Batch => self.queued_batch += 1,
-        }
+    fn queued(&self) -> usize {
+        self.shards.iter().flatten().map(VecDeque::len).sum()
     }
 
-    fn remove(&mut self, priority: Priority) {
-        match priority {
-            Priority::Interactive => self.queued_interactive -= 1,
-            Priority::Batch => self.queued_batch -= 1,
-        }
+    /// Scans every shard in rotation order from `home`, pops the first
+    /// task found, and stamps it: dequeue order, steal, and fate.
+    fn pop(&mut self, home: usize) -> Option<(Task, TaskFate)> {
+        let shard_count = self.shards.len();
+        let (offset, task) = (0..shard_count).find_map(|offset| {
+            let shard = &mut self.shards[(home + offset) % shard_count];
+            let task = shard.iter_mut().find_map(VecDeque::pop_front)?;
+            Some((offset, task))
+        })?;
+        let stolen = offset != 0;
+        let dequeue_seq = self.dequeue_seq;
+        self.dequeue_seq += 1;
+        self.steals += u64::from(stolen);
+        let now = Instant::now();
+        let fate = match task.deadline {
+            Some(deadline) if now >= deadline => {
+                self.expired += 1;
+                TaskFate::Expired {
+                    missed_by: now.duration_since(deadline),
+                }
+            }
+            _ => TaskFate::Execute {
+                stolen,
+                dequeue_seq,
+            },
+        };
+        Some((task.run, fate))
     }
 }
 
 struct PoolShared {
-    shards: Vec<Mutex<ShardQueues>>,
-    /// Capacity gate + shutdown flag. Never held while a shard lock is
-    /// held (and vice versa): submitters reserve space here first, release,
-    /// then push into a shard; workers pop from a shard, release, then
-    /// return the slot here.
-    space: Mutex<SpaceState>,
-    /// Signalled whenever a queue slot frees up or shutdown begins.
-    space_available: Condvar,
-    /// Eventcount for sleeping workers: the sequence number increments on
-    /// every push (after the shard lock is released) and on shutdown. A
-    /// worker snapshots it *before* scanning the shards and sleeps only if
-    /// it is unchanged after a dry scan — so a push that lands mid-scan can
-    /// never be lost to a sleeping worker.
-    wake_seq: Mutex<u64>,
-    wake: Condvar,
+    state: Mutex<PoolState>,
+    /// Workers wait here after a dry scan; signalled by every push and by
+    /// shutdown.
+    work: Condvar,
+    /// Blocked submitters wait here; signalled by every pop and by
+    /// shutdown.
+    space: Condvar,
     queue_capacity: usize,
-    next_shard: AtomicUsize,
-    dequeue_seq: AtomicU64,
-    steals: AtomicU64,
-    expired: AtomicU64,
 }
 
 impl PoolShared {
-    fn bump_wake(&self, all: bool) {
-        *self.wake_seq.lock().expect("pool wake seq poisoned") += 1;
-        if all {
-            self.wake.notify_all();
-        } else {
-            self.wake.notify_one();
-        }
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("pool state poisoned")
     }
 }
 
@@ -258,18 +259,13 @@ impl WorkerPool {
         let worker_count = workers.max(1);
         let shard_count = shards.max(1);
         let shared = Arc::new(PoolShared {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(ShardQueues::default()))
-                .collect(),
-            space: Mutex::new(SpaceState::default()),
-            space_available: Condvar::new(),
-            wake_seq: Mutex::new(0),
-            wake: Condvar::new(),
+            state: Mutex::new(PoolState {
+                shards: (0..shard_count).map(|_| ShardQueues::default()).collect(),
+                ..PoolState::default()
+            }),
+            work: Condvar::new(),
+            space: Condvar::new(),
             queue_capacity: queue_capacity.max(1),
-            next_shard: AtomicUsize::new(0),
-            dequeue_seq: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
         });
         let workers = (0..worker_count)
             .map(|index| {
@@ -295,7 +291,7 @@ impl WorkerPool {
     /// Number of shards (== workers unless built via
     /// [`WorkerPool::with_shards`]).
     pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
+        self.shared.lock().shards.len()
     }
 
     /// Capacity of the bounded queue, summed across all shards.
@@ -305,20 +301,12 @@ impl WorkerPool {
 
     /// Tasks currently queued (not yet dequeued), across all shards.
     pub fn queued(&self) -> usize {
-        self.shared
-            .space
-            .lock()
-            .expect("pool space poisoned")
-            .total()
+        self.shared.lock().queued()
     }
 
     /// Tasks currently queued in `priority`'s class, across all shards.
     pub fn queued_in_class(&self, priority: Priority) -> usize {
-        let space = self.shared.space.lock().expect("pool space poisoned");
-        match priority {
-            Priority::Interactive => space.queued_interactive,
-            Priority::Batch => space.queued_batch,
-        }
+        self.shared.lock().queued_in_class(priority)
     }
 
     /// The backlog a newly submitted task of `priority` would queue
@@ -326,114 +314,86 @@ impl WorkerPool {
     /// interactive that outranks it. This is the queue-position input to
     /// the service's admission model.
     pub fn backlog_ahead_of(&self, priority: Priority) -> usize {
-        let space = self.shared.space.lock().expect("pool space poisoned");
+        let state = self.shared.lock();
         match priority {
-            Priority::Interactive => space.queued_interactive,
-            Priority::Batch => space.total(),
+            Priority::Interactive => state.queued_in_class(Priority::Interactive),
+            Priority::Batch => state.queued(),
         }
     }
 
     /// Dequeues served from a shard other than the popping worker's own.
     pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
+        self.shared.lock().steals
     }
 
     /// Tasks handed [`TaskFate::Expired`] at dequeue.
     pub fn expired(&self) -> u64 {
-        self.shared.expired.load(Ordering::Relaxed)
+        self.shared.lock().expired
     }
 
     /// Total dequeues so far (the next `dequeue_seq` to be assigned).
     pub fn dequeues(&self) -> u64 {
-        self.shared.dequeue_seq.load(Ordering::Relaxed)
+        self.shared.lock().dequeue_seq
     }
 
     /// `true` once [`WorkerPool::shutdown`] has begun.
     pub fn is_shut_down(&self) -> bool {
-        self.shared
-            .space
-            .lock()
-            .expect("pool space poisoned")
-            .shutdown
+        self.shared.lock().shutdown
     }
 
     /// Enqueues a task without blocking, refusing with
     /// [`PoolError::QueueFull`] when the queue is at capacity.
     pub fn try_execute(&self, task: Task, options: TaskOptions) -> Result<(), PoolError> {
-        {
-            let mut space = self.shared.space.lock().expect("pool space poisoned");
-            if space.shutdown {
-                return Err(PoolError::ShutDown);
-            }
-            if space.total() >= self.shared.queue_capacity {
-                return Err(PoolError::QueueFull);
-            }
-            space.add(options.priority);
-        }
-        self.push(task, options);
-        Ok(())
+        self.submit(task, options, false)
     }
 
     /// Enqueues a task, blocking the caller while the queue is at capacity
     /// (backpressure on the submitter).
     pub fn execute(&self, task: Task, options: TaskOptions) -> Result<(), PoolError> {
-        {
-            let mut space = self.shared.space.lock().expect("pool space poisoned");
-            loop {
-                if space.shutdown {
-                    return Err(PoolError::ShutDown);
-                }
-                if space.total() < self.shared.queue_capacity {
-                    break;
-                }
-                space = self
-                    .shared
-                    .space_available
-                    .wait(space)
-                    .expect("pool space poisoned");
-            }
-            space.add(options.priority);
-        }
-        self.push(task, options);
-        Ok(())
+        self.submit(task, options, true)
     }
 
-    /// Space has been reserved; place the task in its shard and wake a
-    /// worker. The shard lock is released before the wake sequence bumps,
-    /// so no lock is ever held while another is taken.
-    fn push(&self, task: Task, options: TaskOptions) {
-        let shard_count = self.shared.shards.len();
+    /// The one submit path: wait for (or refuse on) capacity, place the
+    /// task in its shard, and wake one worker.
+    fn submit(&self, task: Task, options: TaskOptions, block: bool) -> Result<(), PoolError> {
+        let mut state = self.shared.lock();
+        loop {
+            if state.shutdown {
+                return Err(PoolError::ShutDown);
+            }
+            if state.queued() < self.shared.queue_capacity {
+                break;
+            }
+            if !block {
+                return Err(PoolError::QueueFull);
+            }
+            state = self.shared.space.wait(state).expect("pool state poisoned");
+        }
         let shard = match options.shard {
-            Some(pinned) => pinned % shard_count,
-            None => self.shared.next_shard.fetch_add(1, Ordering::Relaxed) % shard_count,
-        };
-        let queued = QueuedTask {
+            Some(pinned) => pinned,
+            None => {
+                let next = state.next_shard;
+                state.next_shard = next.wrapping_add(1);
+                next
+            }
+        } % state.shards.len();
+        state.shards[shard][options.priority as usize].push_back(QueuedTask {
             run: task,
             deadline: options.deadline,
-        };
-        {
-            let mut queues = self.shared.shards[shard]
-                .lock()
-                .expect("pool shard poisoned");
-            match options.priority {
-                Priority::Interactive => queues.interactive.push_back(queued),
-                Priority::Batch => queues.batch.push_back(queued),
-            }
-        }
-        self.shared.bump_wake(false);
+        });
+        drop(state);
+        self.shared.work.notify_one();
+        Ok(())
     }
 
     /// Raises the shutdown flag, wakes everyone, and joins every worker.
     /// Queued tasks complete (or expire) before this returns; further
     /// submissions fail with [`PoolError::ShutDown`]. Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut space = self.shared.space.lock().expect("pool space poisoned");
-            space.shutdown = true;
-        }
-        // Blocked submitters must observe the flag and give up their wait.
-        self.shared.space_available.notify_all();
-        self.shared.bump_wake(true);
+        self.shared.lock().shutdown = true;
+        // Blocked submitters give up; idle workers drain, then exit.
+        self.shared.space.notify_all();
+        self.shared.work.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().expect("pool workers poisoned"));
         for worker in workers {
             let _ = worker.join();
@@ -460,75 +420,34 @@ impl fmt::Debug for WorkerPool {
     }
 }
 
-fn worker_loop(shared: &PoolShared, local_shard: usize) {
-    let shard_count = shared.shards.len();
+fn worker_loop(shared: &PoolShared, home: usize) {
     loop {
-        // Snapshot the eventcount BEFORE scanning: any push that lands
-        // after this point bumps the sequence, so the sleep check below
-        // cannot miss it.
-        let wake_snapshot = *shared.wake_seq.lock().expect("pool wake seq poisoned");
-
-        let mut found = None;
-        for offset in 0..shard_count {
-            let shard = (local_shard + offset) % shard_count;
-            let mut queues = shared.shards[shard].lock().expect("pool shard poisoned");
-            if let Some((task, priority)) = queues.pop_front() {
-                // Stamp dequeue order while the shard lock is held: within
-                // this shard, ascending seq IS dequeue order.
-                let seq = shared.dequeue_seq.fetch_add(1, Ordering::SeqCst);
-                found = Some((task, priority, offset != 0, seq));
-                break;
+        let (run, fate) = {
+            let mut state = shared.lock();
+            loop {
+                if let Some(found) = state.pop(home) {
+                    break found;
+                }
+                // A dry scan under the lock: shutdown can only be decided
+                // here, and any later push must take the lock first.
+                if state.shutdown {
+                    return;
+                }
+                state = shared.work.wait(state).expect("pool state poisoned");
             }
-        }
-
-        match found {
-            Some((task, priority, stolen, dequeue_seq)) => {
-                {
-                    let mut space = shared.space.lock().expect("pool space poisoned");
-                    space.remove(priority);
-                }
-                shared.space_available.notify_one();
-                if stolen {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                let now = Instant::now();
-                let fate = match task.deadline {
-                    Some(deadline) if now >= deadline => {
-                        shared.expired.fetch_add(1, Ordering::Relaxed);
-                        TaskFate::Expired {
-                            missed_by: now.duration_since(deadline),
-                        }
-                    }
-                    _ => TaskFate::Execute {
-                        stolen,
-                        dequeue_seq,
-                    },
-                };
-                // A panicking task must not take the worker down with it;
-                // waiters observe the failure through their responder
-                // channel disconnecting.
-                let _ = catch_unwind(AssertUnwindSafe(move || (task.run)(fate)));
-            }
-            None => {
-                {
-                    let space = shared.space.lock().expect("pool space poisoned");
-                    if space.shutdown && space.total() == 0 {
-                        return;
-                    }
-                }
-                let mut seq = shared.wake_seq.lock().expect("pool wake seq poisoned");
-                while *seq == wake_snapshot {
-                    seq = shared.wake.wait(seq).expect("pool wake seq poisoned");
-                }
-            }
-        }
+        };
+        shared.space.notify_one();
+        // A panicking task must not take the worker down with it;
+        // waiters observe the failure through their responder channel
+        // disconnecting.
+        let _ = catch_unwind(AssertUnwindSafe(move || run(fate)));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
     fn run_opts() -> TaskOptions {

@@ -4,16 +4,23 @@
 //! A [`FrameSequenceRequest`] opens a [`VideoStreamHandle`]: a
 //! [`tonemap_video::VideoSession`] owned by the service, fed one frame at
 //! a time through the same sharded worker pool that serves single-frame
-//! jobs. Two properties distinguish frames from jobs:
+//! jobs. Three properties distinguish frames from jobs:
 //!
 //! * **Per-stream FIFO order.** Temporal adaptation is stateful, so frame
 //!   `k+1` must observe the integrator state frame `k` left behind. Every
 //!   frame of a stream is pinned to the shard `stream_id % shards` (the
 //!   same affinity mechanism as [`crate::JobRequest::from_submitter`]), so
-//!   frames *dequeue* in submission order; a turn gate inside the frame
-//!   task then makes *processing* order unconditional even when a steal
-//!   hands frame `k+1` to a second worker while frame `k` still runs.
+//!   frames *dequeue* in submission order. A hand-off inside the frame
+//!   task then makes *processing* order unconditional: when a steal
+//!   hands frame `k+1` to a second worker while frame `k` still runs, the
+//!   second task parks the frame and returns, and the task running frame
+//!   `k` processes `k+1` next. No worker ever waits on another frame.
 //!   Distinct streams pin to distinct shards and parallelise freely.
+//! * **A bounded stream.** A parked frame has left the pool's queue, so
+//!   the queue's capacity cannot bound it. The submitter bounds it
+//!   instead: [`VideoStreamHandle::submit_frame`] blocks while the stream
+//!   already has `queue_capacity` frames submitted but not processed, so
+//!   one stream never holds more staged frames than the queue could.
 //! * **Separate accounting.** Completed frames count in
 //!   [`crate::ServiceStats::frames_completed`], never in the job
 //!   counters — frames/sec and jobs/sec stay separately meaningful.
@@ -27,9 +34,10 @@ use crate::error::ServiceError;
 use crate::pool::{PoolError, Priority, Task, TaskFate, TaskOptions};
 use crate::service::TonemapService;
 use hdr_image::LuminanceImage;
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use tonemap_video::{FrameMetrics, StreamSummary, VideoSession};
 
 /// A request to open a temporal tone-mapping stream on the service.
@@ -75,27 +83,51 @@ impl FrameSequenceRequest {
 struct StreamShared {
     /// The temporal session; locked by exactly one frame task at a time.
     session: Mutex<VideoSession>,
-    /// Index of the next frame allowed to process. Shard FIFO already
-    /// dequeues frames in submission order, but a steal can hand frame
-    /// `k+1` to a second worker while frame `k` still runs — the turn
-    /// gate makes in-order processing unconditional. No deadlock is
-    /// possible: the outstanding frame with the lowest index never waits,
-    /// because same-shard FIFO guarantees it was dequeued first.
-    turn: Mutex<u64>,
-    turn_advanced: Condvar,
+    /// Which frame runs next, and the frames that arrived before their
+    /// turn (see [`StreamOrder`]).
+    order: Mutex<StreamOrder>,
+    /// Signalled whenever `order.next` moves, for the stream's submitter
+    /// blocked on its outstanding-frame bound.
+    advanced: Condvar,
 }
 
-/// Advances the stream's turn exactly once, even when the frame task
-/// panics mid-processing — queued successors must never wait forever on a
-/// turn that will not come.
-struct TurnGuard {
-    shared: Arc<StreamShared>,
+/// The hand-off between a stream's frame tasks. Shard FIFO already
+/// dequeues frames in submission order, but a steal can hand frame `k+1`
+/// to a second worker while frame `k` still runs. That task parks its
+/// frame in `early` and returns at once; the task holding frame `k`
+/// processes its successors before it returns. No task ever waits on
+/// another.
+struct StreamOrder {
+    /// Index of the next frame to process; [`FAILED`] once a frame task
+    /// panicked.
+    next: u64,
+    early: BTreeMap<u64, StagedFrame>,
 }
 
-impl Drop for TurnGuard {
+/// `StreamOrder::next` of a stream whose session can no longer advance:
+/// every pending and later frame reports [`ServiceError::Lost`].
+const FAILED: u64 = u64::MAX;
+
+/// A dequeued frame and everything needed to answer for it.
+struct StagedFrame {
+    pixels: LuminanceImage,
+    responder: Sender<Result<VideoFrameOutcome, ServiceError>>,
+    dequeue_seq: u64,
+    stolen: bool,
+}
+
+/// Marks the stream failed when a frame task unwinds: parked frames drop
+/// their responders now, later frames on arrival, so no waiter hangs.
+struct FailOnUnwind<'a>(&'a StreamShared);
+
+impl Drop for FailOnUnwind<'_> {
     fn drop(&mut self) {
-        *self.shared.turn.lock().expect("stream turn poisoned") += 1;
-        self.shared.turn_advanced.notify_all();
+        if std::thread::panicking() {
+            let mut order = self.0.order.lock().unwrap_or_else(PoisonError::into_inner);
+            order.next = FAILED;
+            order.early.clear();
+            self.0.advanced.notify_one();
+        }
     }
 }
 
@@ -143,7 +175,7 @@ impl FrameHandle {
     /// # Errors
     ///
     /// [`ServiceError::Lost`] when the executing worker died (task panic)
-    /// before reporting.
+    /// before reporting, or an earlier frame of the stream did.
     pub fn wait(self) -> Result<VideoFrameOutcome, ServiceError> {
         self.receiver.recv().unwrap_or(Err(ServiceError::Lost))
     }
@@ -153,9 +185,11 @@ impl FrameHandle {
 ///
 /// Frames submitted through the handle execute on the service's worker
 /// pool in strict submission order (the stream's shard affinity plus a
-/// turn gate), while frames of *other* streams overlap freely on other
-/// workers. Dropping the handle closes the stream; frames already
-/// submitted still complete.
+/// hand-off between its frame tasks), while frames of *other* streams
+/// overlap freely on other workers. Dropping the handle closes the
+/// stream; frames already submitted still complete. If a frame task
+/// panics, the stream fails: that frame and every later one report
+/// [`ServiceError::Lost`].
 pub struct VideoStreamHandle<'a> {
     service: &'a TonemapService,
     stream_id: u64,
@@ -198,8 +232,11 @@ impl TonemapService {
             priority: request.priority(),
             shared: Arc::new(StreamShared {
                 session: Mutex::new(session),
-                turn: Mutex::new(0),
-                turn_advanced: Condvar::new(),
+                order: Mutex::new(StreamOrder {
+                    next: 0,
+                    early: BTreeMap::new(),
+                }),
+                advanced: Condvar::new(),
             }),
             submitted: 0,
         })
@@ -219,7 +256,9 @@ impl VideoStreamHandle<'_> {
     }
 
     /// Submits one frame, blocking while the queue is at capacity
-    /// (backpressure on the submitter, as [`TonemapService::submit`]).
+    /// (backpressure on the submitter, as [`TonemapService::submit`]) and
+    /// while the stream already has [`TonemapService::queue_capacity`]
+    /// frames submitted but not yet processed.
     ///
     /// The pixels are staged through the service's [`crate::FramePool`]
     /// immediately — the caller keeps ownership of `frame` and may reuse
@@ -229,13 +268,24 @@ impl VideoStreamHandle<'_> {
     ///
     /// [`ServiceError::ShutDown`] after [`TonemapService::shutdown`].
     pub fn submit_frame(&mut self, frame: &LuminanceImage) -> Result<FrameHandle, ServiceError> {
+        let index = self.submitted;
+        let capacity = self.service.pool.queue_capacity() as u64;
+        let order = self.shared.order.lock().expect("stream order poisoned");
+        let outstanding =
+            |order: &mut StreamOrder| order.next != FAILED && index - order.next >= capacity;
+        drop(
+            self.shared
+                .advanced
+                .wait_while(order, outstanding)
+                .expect("stream order poisoned"),
+        );
+
         let (width, height) = frame.dimensions();
         let mut staged = self.service.frames.acquire(frame.pixels().len());
         staged.copy_from_slice(frame.pixels());
         let staged = LuminanceImage::from_vec(width, height, staged)
             .expect("staged frame matches the source dimensions");
 
-        let index = self.submitted;
         let shared = Arc::clone(&self.shared);
         let frames = self.service.frames.clone();
         let stats = Arc::clone(&self.service.stats);
@@ -248,37 +298,51 @@ impl VideoStreamHandle<'_> {
             else {
                 unreachable!("video frames carry no deadline");
             };
-            // Wait for this frame's turn (see `StreamShared::turn`).
-            {
-                let mut turn = shared.turn.lock().expect("stream turn poisoned");
-                while *turn != index {
-                    turn = shared
-                        .turn_advanced
-                        .wait(turn)
-                        .expect("stream turn poisoned");
-                }
-            }
-            let advance = TurnGuard {
-                shared: Arc::clone(&shared),
-            };
-            let poison = frames.poison_guard(staged.pixels().len());
-            let (output, metrics) = {
-                let mut session = shared.session.lock().expect("video session poisoned");
-                session.process(&staged)
-            };
-            // A panic inside `process` unwinds past this point with the
-            // guard armed: the staged frame is dropped as poisoned, the
-            // turn still advances, and the waiter sees `Lost`.
-            poison.disarm();
-            frames.recycle(staged.into_vec());
-            drop(advance);
-            stats.record_frame_completed();
-            let _ = responder.send(Ok(VideoFrameOutcome {
-                output,
-                metrics,
+            let mut frame = StagedFrame {
+                pixels: staged,
+                responder,
                 dequeue_seq,
                 stolen,
-            }));
+            };
+            {
+                let mut order = shared.order.lock().expect("stream order poisoned");
+                if order.next == FAILED {
+                    return;
+                }
+                if order.next != index {
+                    order.early.insert(index, frame);
+                    return;
+                }
+            }
+            let _fail = FailOnUnwind(&shared);
+            loop {
+                let poison = frames.poison_guard(frame.pixels.pixels().len());
+                let (output, metrics) = shared
+                    .session
+                    .lock()
+                    .expect("video session poisoned")
+                    .process(&frame.pixels);
+                // A panic inside `process` unwinds past this point with the
+                // guard armed: the staged frame is dropped as poisoned, the
+                // stream fails, and every pending waiter sees `Lost`.
+                poison.disarm();
+                frames.recycle(frame.pixels.into_vec());
+                stats.record_frame_completed();
+                let _ = frame.responder.send(Ok(VideoFrameOutcome {
+                    output,
+                    metrics,
+                    dequeue_seq: frame.dequeue_seq,
+                    stolen: frame.stolen,
+                }));
+                let mut order = shared.order.lock().expect("stream order poisoned");
+                order.next += 1;
+                shared.advanced.notify_one();
+                let next = order.next;
+                match order.early.remove(&next) {
+                    Some(successor) => frame = successor,
+                    None => return,
+                }
+            }
         });
         let options = TaskOptions {
             priority: self.priority,
@@ -336,7 +400,26 @@ impl Drop for VideoStreamHandle<'_> {
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
+    use hdr_image::sequence::{FrameSequence, SequenceKind};
     use hdr_image::synth::SceneKind;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
+
+    /// [`FrameHandle::wait`] with a bound: a frame that never answers
+    /// fails the test instead of hanging it.
+    fn wait_within(
+        handle: FrameHandle,
+        limit: Duration,
+    ) -> Result<VideoFrameOutcome, ServiceError> {
+        match handle.receiver.recv_timeout(limit) {
+            Ok(result) => result,
+            Err(RecvTimeoutError::Disconnected) => Err(ServiceError::Lost),
+            Err(RecvTimeoutError::Timeout) => panic!(
+                "frame {} of stream {} did not answer within {limit:?}",
+                handle.index, handle.stream
+            ),
+        }
+    }
 
     /// The acceptance-critical interleaving, scripted deterministically:
     /// stream A's first frame is provably *mid-execution* on one worker
@@ -365,8 +448,8 @@ mod tests {
         assert_eq!(stream_b.stream_id(), 1);
         assert_eq!(service.stats().streams_active, 2);
 
-        // Hold stream A's session: its first frame will dequeue, pass the
-        // turn gate, and block inside `process`'s session lock.
+        // Hold stream A's session: its first frame will dequeue, take its
+        // turn, and block inside `process`'s session lock.
         let shared_a = Arc::clone(&stream_a.shared);
         let hold = shared_a.session.lock().unwrap();
         let first_a = stream_a.submit_frame(&scene).unwrap();
@@ -417,5 +500,152 @@ mod tests {
         // Frames never leak into the job counters.
         assert_eq!(service.stats().submitted, 0);
         assert_eq!(service.stats().completed, 0);
+    }
+
+    /// A frame dequeued before its turn parks and frees its worker. Stream
+    /// A's first frame is stuck mid-process on one worker and its second
+    /// frame is already dequeued by the other; stream B must still run.
+    #[test]
+    fn an_early_successor_frame_does_not_park_a_worker() {
+        let service =
+            TonemapService::standard(ServiceConfig::with_workers(2).shards(2).queue_capacity(64));
+        let scene = SceneKind::WindowInDarkRoom.generate(24, 20, 9);
+        let request = || FrameSequenceRequest::on_backend("sw-f32?temporal=leaky&tau=2");
+        let mut stream_a = service.open_stream(request()).unwrap();
+        let mut stream_b = service.open_stream(request()).unwrap();
+
+        let shared_a = Arc::clone(&stream_a.shared);
+        let hold = shared_a.session.lock().unwrap();
+        let a0 = stream_a.submit_frame(&scene).unwrap();
+        let a1 = stream_a.submit_frame(&scene).unwrap();
+        // Both A frames are on workers: one blocked on the session, the
+        // other early.
+        while service.pool.dequeues() < 2 {
+            std::thread::yield_now();
+        }
+        let b0 = stream_b.submit_frame(&scene).unwrap();
+        let b0 = wait_within(b0, Duration::from_secs(10));
+        drop(hold);
+
+        assert_eq!(b0.expect("stream B's frame completes").metrics.index, 0);
+        assert_eq!(a0.wait().unwrap().metrics.index, 0);
+        assert_eq!(a1.wait().unwrap().metrics.index, 1);
+        assert_eq!(service.stats().frames_completed, 3);
+    }
+
+    /// Parked frames have left the pool's queue, so the submitter bounds
+    /// them: with stream A's head frame stuck mid-process, idle workers
+    /// steal and park A's later frames, and the queue never fills — yet
+    /// the submitter still blocks once `queue_capacity` frames of A are
+    /// outstanding.
+    #[test]
+    fn a_stream_blocks_its_submitter_at_queue_capacity_outstanding_frames() {
+        const CAPACITY: usize = 2;
+        const FRAMES: usize = 8;
+        let service = TonemapService::standard(
+            ServiceConfig::with_workers(2)
+                .shards(2)
+                .queue_capacity(CAPACITY),
+        );
+        let scene = SceneKind::WindowInDarkRoom.generate(24, 20, 9);
+        let mut stream_a = service
+            .open_stream(FrameSequenceRequest::on_backend(
+                "sw-f32?temporal=leaky&tau=2",
+            ))
+            .unwrap();
+        let shared_a = Arc::clone(&stream_a.shared);
+        let hold = shared_a.session.lock().unwrap();
+
+        std::thread::scope(|scope| {
+            let (submitted, accepted) = mpsc::channel();
+            let producer = scope.spawn(|| {
+                let submitted = submitted;
+                (0..FRAMES)
+                    .map(|index| {
+                        let handle = stream_a.submit_frame(&scene).unwrap();
+                        submitted.send(index).unwrap();
+                        handle
+                    })
+                    .collect::<Vec<_>>()
+            });
+
+            for expected in 0..CAPACITY {
+                let index = accepted.recv_timeout(Duration::from_secs(10)).unwrap();
+                assert_eq!(index, expected);
+            }
+            // Give workers time to steal and park; the producer must stay
+            // blocked on frame CAPACITY however long the head frame runs.
+            assert_eq!(
+                accepted.recv_timeout(Duration::from_millis(300)),
+                Err(RecvTimeoutError::Timeout),
+                "the producer submitted past the stream's bound"
+            );
+            assert!(shared_a.order.lock().unwrap().early.len() < CAPACITY);
+
+            drop(hold);
+            let handles = producer.join().unwrap();
+            for (expected, handle) in handles.into_iter().enumerate() {
+                let outcome = wait_within(handle, Duration::from_secs(10)).unwrap();
+                assert_eq!(outcome.metrics.index, expected);
+            }
+        });
+        assert_eq!(service.stats().frames_completed, FRAMES as u64);
+    }
+
+    /// A frame task that panics fails its stream: that frame and every
+    /// later one report `Lost` at once, while another stream keeps
+    /// delivering bit-identical frames.
+    #[test]
+    fn a_failed_stream_fails_fast_while_other_streams_run() {
+        let spec = "sw-f32?temporal=leaky&tau=2";
+        let service =
+            TonemapService::standard(ServiceConfig::with_workers(2).shards(2).queue_capacity(64));
+        let sequence = FrameSequence::new(
+            SequenceKind::ExposureRamp { decades: 1.0 },
+            SceneKind::WindowInDarkRoom,
+            24,
+            20,
+            3,
+            17,
+        );
+        let mut stream_a = service
+            .open_stream(FrameSequenceRequest::on_backend(spec))
+            .unwrap();
+        let mut stream_b = service
+            .open_stream(FrameSequenceRequest::on_backend(spec))
+            .unwrap();
+
+        // Poison stream A's session: the first frame to lock it panics.
+        let shared_a = Arc::clone(&stream_a.shared);
+        std::thread::spawn(move || {
+            let _held = shared_a.session.lock().unwrap();
+            panic!("poisoning stream A's session");
+        })
+        .join()
+        .expect_err("the poisoning thread panics");
+        assert!(stream_a.shared.session.is_poisoned());
+
+        let mut handles_a = Vec::new();
+        let mut handles_b = Vec::new();
+        for index in 0..3 {
+            handles_a.push(stream_a.submit_frame(&sequence.frame(index)).unwrap());
+            handles_b.push(stream_b.submit_frame(&sequence.frame(index)).unwrap());
+        }
+
+        for handle in handles_a {
+            let outcome = wait_within(handle, Duration::from_secs(10));
+            assert!(
+                matches!(outcome, Err(ServiceError::Lost)),
+                "a failed stream's frame must report Lost, got {outcome:?}"
+            );
+        }
+        let mut reference = VideoSession::from_spec(spec).unwrap();
+        for (index, handle) in handles_b.into_iter().enumerate() {
+            let outcome = wait_within(handle, Duration::from_secs(10)).unwrap();
+            let (expected, expected_metrics) = reference.process(&sequence.frame(index));
+            assert_eq!(outcome.output.pixels(), expected.pixels());
+            assert_eq!(outcome.metrics, expected_metrics);
+        }
+        assert_eq!(service.stats().frames_completed, 3, "only B's frames count");
     }
 }

@@ -8,15 +8,51 @@
 //! depth — all without a single sleep. [`GatedBackend`] is the standard
 //! `sw-f32` engine with a gate bolted onto its entry, and
 //! [`PanickingBackend`] injects a worker-side panic for the
-//! fault-isolation suite.
+//! fault-isolation suite. [`within`] puts a watchdog on a test body, so a
+//! lost wake-up fails the test instead of stalling the suite.
 
 #![allow(dead_code)]
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 use tonemap_backend::{
     BackendOutput, BackendRegistry, SoftwareF32Backend, TonemapBackend, TonemapError,
 };
 use tonemap_core::{PipelinePlan, ToneMapParams};
+
+/// How long a concurrency test may run before [`within`] calls it hung.
+pub const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// Runs `body` on its own thread and returns its value, re-raising its
+/// panic. If `body` is still running after `limit`, panics with the
+/// calling test's name: a hang fails instead of stalling the suite.
+pub fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let test = std::thread::current()
+        .name()
+        .unwrap_or("unnamed test")
+        .to_owned();
+    let (done, result) = mpsc::channel();
+    let runner = std::thread::Builder::new()
+        .name(test.clone())
+        .spawn(move || {
+            let _ = done.send(body());
+        })
+        .expect("spawning a test body thread cannot fail on this platform");
+    match result.recv_timeout(limit) {
+        Ok(value) => {
+            let _ = runner.join();
+            value
+        }
+        Err(RecvTimeoutError::Disconnected) => match runner.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the body thread exits only after sending or panicking"),
+        },
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{test}: still running after {limit:?}; some blocking wait was never woken")
+        }
+    }
+}
 
 /// A counting rendezvous: threads [`Gate::arrive_and_wait`], the test
 /// observes arrivals with [`Gate::wait_for_arrivals`] and lets a chosen

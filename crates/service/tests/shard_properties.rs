@@ -18,16 +18,52 @@
 //! a single gated worker over N shards drains shard 0's interactive deque,
 //! then its batch deque, then shard 1's, and so on — the scan order the
 //! pool documents. All ordering evidence comes from the `dequeue_seq`
-//! stamps the pool assigns under the shard lock, so no assertion depends
-//! on wall-clock timing and there is not a single sleep in this file.
+//! stamps the pool assigns under its lock, so no assertion depends on
+//! wall-clock timing and there is not a single sleep in this file.
+//!
+//! A fifth test hammers shutdown: thousands of short-lived pools, each
+//! shut down while its workers race to drain, must all join. Every test
+//! body runs under the harness watchdog, so a lost wake-up fails the test
+//! instead of hanging it.
 
 mod harness;
 
-use harness::Gate;
+use harness::{within, Gate, WATCHDOG};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use tonemap_service::pool::{Priority, TaskFate, TaskOptions, WorkerPool};
+
+/// Shutdown racing the drain: three workers over two shards, eight no-op
+/// tasks pinned across both shards and both classes, then `shutdown`. A
+/// worker that finds the shards dry while another still drains them must
+/// not sleep through the end of the drain, or `shutdown` never joins it.
+#[test]
+fn shutdown_joins_every_worker_while_they_race_to_drain() {
+    within(WATCHDOG, || {
+        for _ in 0..2000 {
+            let pool = WorkerPool::with_shards(3, 2, 64);
+            for task in 0..8 {
+                let priority = if task % 4 < 2 {
+                    Priority::Interactive
+                } else {
+                    Priority::Batch
+                };
+                pool.execute(
+                    Box::new(|_| {}),
+                    TaskOptions {
+                        priority,
+                        shard: Some(task % 2),
+                        ..TaskOptions::default()
+                    },
+                )
+                .expect("the pool accepts tasks before shutdown");
+            }
+            pool.shutdown();
+            assert_eq!(pool.dequeues(), 8);
+        }
+    });
+}
 
 /// One submission in a generated scenario.
 #[derive(Debug, Clone, Copy)]
@@ -129,23 +165,25 @@ proptest! {
         (shards, submissions) in scenario_strategy(),
         workers in 1usize..=4,
     ) {
-        let pool = WorkerPool::with_shards(workers, shards, 64);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        submit_all(&pool, shards, &submissions, &log);
-        pool.shutdown();
+        within(WATCHDOG, move || {
+            let pool = WorkerPool::with_shards(workers, shards, 64);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            submit_all(&pool, shards, &submissions, &log);
+            pool.shutdown();
 
-        let log = log.lock().unwrap();
-        prop_assert_eq!(log.len(), submissions.len());
-        let mut seen: Vec<usize> = log.iter().map(|o| o.tag).collect();
-        seen.sort_unstable();
-        let expected: Vec<usize> = (0..submissions.len()).collect();
-        prop_assert_eq!(seen, expected, "each tag exactly once");
-        prop_assert_eq!(pool.expired(), 0);
-        prop_assert_eq!(
-            pool.dequeues(),
-            submissions.len() as u64,
-            "dequeue stamps count exactly the submitted tasks"
-        );
+            let log = log.lock().unwrap();
+            prop_assert_eq!(log.len(), submissions.len());
+            let mut seen: Vec<usize> = log.iter().map(|o| o.tag).collect();
+            seen.sort_unstable();
+            let expected: Vec<usize> = (0..submissions.len()).collect();
+            prop_assert_eq!(seen, expected, "each tag exactly once");
+            prop_assert_eq!(pool.expired(), 0);
+            prop_assert_eq!(
+                pool.dequeues(),
+                submissions.len() as u64,
+                "dequeue stamps count exactly the submitted tasks"
+            );
+        });
     }
 
     /// Invariants 2 and 3: with the whole backlog staged before any pop
@@ -157,53 +195,55 @@ proptest! {
         (shards, submissions) in scenario_strategy(),
         workers in 1usize..=3,
     ) {
-        let pool = WorkerPool::with_shards(workers, shards, 64);
-        let gate = park_all_workers(&pool, workers);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        submit_all(&pool, shards, &submissions, &log);
-        gate.release(workers as u64);
-        pool.shutdown();
+        within(WATCHDOG, move || {
+            let pool = WorkerPool::with_shards(workers, shards, 64);
+            let gate = park_all_workers(&pool, workers);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            submit_all(&pool, shards, &submissions, &log);
+            gate.release(workers as u64);
+            pool.shutdown();
 
-        let log = log.lock().unwrap();
-        prop_assert_eq!(log.len(), submissions.len());
+            let log = log.lock().unwrap();
+            prop_assert_eq!(log.len(), submissions.len());
 
-        let mut per_shard: BTreeMap<usize, Vec<Observation>> = BTreeMap::new();
-        for observation in log.iter() {
-            per_shard.entry(observation.shard).or_default().push(*observation);
-        }
-        for (shard, mut observations) in per_shard {
-            observations.sort_by_key(|o| o.dequeue_seq);
-            // Priority: within the shard, every interactive dequeue
-            // precedes every batch dequeue (the whole backlog was present
-            // before the first pop).
-            let first_batch = observations
-                .iter()
-                .position(|o| o.priority == Priority::Batch)
-                .unwrap_or(observations.len());
-            for (index, observation) in observations.iter().enumerate() {
-                if observation.priority == Priority::Interactive {
+            let mut per_shard: BTreeMap<usize, Vec<Observation>> = BTreeMap::new();
+            for observation in log.iter() {
+                per_shard.entry(observation.shard).or_default().push(*observation);
+            }
+            for (shard, mut observations) in per_shard {
+                observations.sort_by_key(|o| o.dequeue_seq);
+                // Priority: within the shard, every interactive dequeue
+                // precedes every batch dequeue (the whole backlog was present
+                // before the first pop).
+                let first_batch = observations
+                    .iter()
+                    .position(|o| o.priority == Priority::Batch)
+                    .unwrap_or(observations.len());
+                for (index, observation) in observations.iter().enumerate() {
+                    if observation.priority == Priority::Interactive {
+                        prop_assert!(
+                            index < first_batch,
+                            "shard {shard}: interactive tag {} (seq {}) dequeued after a batch task",
+                            observation.tag,
+                            observation.dequeue_seq
+                        );
+                    }
+                }
+                // FIFO: within one class, dequeue order == submission order
+                // (tags were assigned in submission order).
+                for class in [Priority::Interactive, Priority::Batch] {
+                    let tags: Vec<usize> = observations
+                        .iter()
+                        .filter(|o| o.priority == class)
+                        .map(|o| o.tag)
+                        .collect();
                     prop_assert!(
-                        index < first_batch,
-                        "shard {shard}: interactive tag {} (seq {}) dequeued after a batch task",
-                        observation.tag,
-                        observation.dequeue_seq
+                        tags.windows(2).all(|w| w[0] < w[1]),
+                        "shard {shard} {class}: dequeue order {tags:?} is not submission order"
                     );
                 }
             }
-            // FIFO: within one class, dequeue order == submission order
-            // (tags were assigned in submission order).
-            for class in [Priority::Interactive, Priority::Batch] {
-                let tags: Vec<usize> = observations
-                    .iter()
-                    .filter(|o| o.priority == class)
-                    .map(|o| o.tag)
-                    .collect();
-                prop_assert!(
-                    tags.windows(2).all(|w| w[0] < w[1]),
-                    "shard {shard} {class}: dequeue order {tags:?} is not submission order"
-                );
-            }
-        }
+        });
     }
 
     /// The closed-form oracle: one gated worker over N shards drains
@@ -212,28 +252,30 @@ proptest! {
     fn a_single_gated_worker_drains_in_scan_order(
         (shards, submissions) in scenario_strategy(),
     ) {
-        let pool = WorkerPool::with_shards(1, shards, 64);
-        let gate = park_all_workers(&pool, 1);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        submit_all(&pool, shards, &submissions, &log);
-        gate.release(1);
-        pool.shutdown();
+        within(WATCHDOG, move || {
+            let pool = WorkerPool::with_shards(1, shards, 64);
+            let gate = park_all_workers(&pool, 1);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            submit_all(&pool, shards, &submissions, &log);
+            gate.release(1);
+            pool.shutdown();
 
-        let observed: Vec<usize> = {
-            let mut log = log.lock().unwrap().clone();
-            log.sort_by_key(|o| o.dequeue_seq);
-            log.iter().map(|o| o.tag).collect()
-        };
-        let mut oracle = Vec::new();
-        for shard in 0..shards {
-            for class in [Priority::Interactive, Priority::Batch] {
-                for (tag, submission) in submissions.iter().enumerate() {
-                    if submission.shard_pin % shards == shard && submission.priority == class {
-                        oracle.push(tag);
+            let observed: Vec<usize> = {
+                let mut log = log.lock().unwrap().clone();
+                log.sort_by_key(|o| o.dequeue_seq);
+                log.iter().map(|o| o.tag).collect()
+            };
+            let mut oracle = Vec::new();
+            for shard in 0..shards {
+                for class in [Priority::Interactive, Priority::Batch] {
+                    for (tag, submission) in submissions.iter().enumerate() {
+                        if submission.shard_pin % shards == shard && submission.priority == class {
+                            oracle.push(tag);
+                        }
                     }
                 }
             }
-        }
-        prop_assert_eq!(observed, oracle);
+            prop_assert_eq!(observed, oracle);
+        });
     }
 }
