@@ -14,10 +14,18 @@
 //! neighbourhood is compressed. This is exactly the "dark zones become
 //! brighter while bright zones become darker" behaviour described in
 //! Section II of the paper.
+//!
+//! Per sample that is two transcendentals: the exponent's `exp2`, rounded
+//! to `f32`, then the correction's `powf`. Both come from the crate's own
+//! kernel ([`crate::fmath`], within 1 ULP of the `f64` reference), never
+//! from libm, and [`masked_sample`] and its row form [`mask_row`] run the
+//! same lane arithmetic — so the two-pass stage ([`apply_masking`]) and the
+//! streaming planner's op-major rows produce the same bits.
 
+use crate::fmath;
 use crate::ops::OpCounts;
 use crate::params::MaskingParams;
-use crate::sample::Sample;
+use crate::sample::{powf_clamp01_block, Sample};
 use hdr_image::ImageBuffer;
 
 /// Inverts a normalized image (`1 - x`), the preprocessing Moroney applies to
@@ -26,27 +34,53 @@ pub fn invert<S: Sample>(image: &ImageBuffer<S>) -> ImageBuffer<S> {
     image.map(|&v| S::one().sub(v))
 }
 
-/// Computes the mask-driven gamma exponent for a single mask sample.
-///
-/// The exponent is `2 ^ (strength · (1 − 2·mask))` when the mask was built
-/// from the inverted image (a dark neighbourhood ⇒ mask ≈ 1 ⇒ exponent < 1 ⇒
-/// the pixel is brightened) and `2 ^ (strength · (2·mask − 1))` otherwise.
-pub fn exponent_for_mask(mask: f32, params: &MaskingParams) -> f32 {
+/// The argument of the exponent's `exp2`: `strength · (1 − 2·mask)` for an
+/// inverted-input mask, `strength · (2·mask − 1)` otherwise.
+#[inline(always)]
+fn exponent_log2(mask: f32, params: &MaskingParams) -> f32 {
     let centred = if params.invert_mask {
         1.0 - 2.0 * mask
     } else {
         2.0 * mask - 1.0
     };
-    (params.strength * centred).exp2()
+    params.strength * centred
+}
+
+/// Computes the mask-driven gamma exponent for a single mask sample.
+///
+/// The exponent is `2 ^ (strength · (1 − 2·mask))` when the mask was built
+/// from the inverted image (a dark neighbourhood ⇒ mask ≈ 1 ⇒ exponent < 1 ⇒
+/// the pixel is brightened) and `2 ^ (strength · (2·mask − 1))` otherwise.
+/// The `exp2` is the crate's [`fmath::exp2`], rounded to `f32`.
+#[inline]
+pub fn exponent_for_mask(mask: f32, params: &MaskingParams) -> f32 {
+    fmath::exp2(exponent_log2(mask, params))
 }
 
 /// Applies the non-linear masking to one sample given its mask sample — the
-/// per-pixel core shared by [`apply_masking`] and the streaming execution
-/// path, so the two stay bit-identical.
+/// per-pixel core of [`apply_masking`]; [`mask_row`] is its row form, so
+/// the two-pass and streaming planners stay bit-identical.
 #[inline]
 pub fn masked_sample<S: Sample>(value: S, mask: S, params: &MaskingParams) -> S {
     let exponent = exponent_for_mask(mask.to_f32(), params);
     value.powf(exponent).clamp01()
+}
+
+/// [`masked_sample`] for every `f32` sample of `row` with the matching
+/// sample of `mask`, in place, a [`fmath::LANES`] block at a time: the
+/// block's exponents first, then its corrections. Each lane runs the same
+/// arithmetic as [`masked_sample`], so the result is bit-identical.
+///
+/// # Panics
+///
+/// Panics if `mask` is shorter than `row`.
+pub fn mask_row(row: &mut [f32], mask: &[f32], params: &MaskingParams) {
+    fmath::zip_blocks(row, mask, |values, mask| {
+        let mut exponents: [f32; fmath::LANES] =
+            std::array::from_fn(|i| exponent_log2(mask[i], params));
+        fmath::exp2_block(&mut exponents);
+        powf_clamp01_block(values, &exponents);
+    });
 }
 
 /// Applies the non-linear masking to a normalized image given its blurred
@@ -236,6 +270,31 @@ mod tests {
         let img = LuminanceImage::filled(8, 8, 0.5);
         let mask = LuminanceImage::filled(4, 4, 0.5);
         let _ = apply_masking(&img, &mask, &params());
+    }
+
+    #[test]
+    fn mask_row_equals_masked_sample_lane_for_lane() {
+        let strong = MaskingParams {
+            strength: 200.0,
+            invert_mask: false,
+        };
+        for p in [params(), moroney_params(), strong] {
+            for width in [1, 7, 15, 16, 17, 33, fmath::LANES + 1, 1023] {
+                let values: Vec<f32> = (0..width)
+                    .map(|i| ((i * 37) % 101) as f32 / 100.0 - 0.02)
+                    .collect();
+                let mask: Vec<f32> = (0..width).map(|i| ((i * 53) % 97) as f32 / 96.0).collect();
+                let mut row = values.clone();
+                mask_row(&mut row, &mask, &p);
+                for ((&got, &v), &m) in row.iter().zip(&values).zip(&mask) {
+                    assert_eq!(
+                        got.to_bits(),
+                        masked_sample(v, m, &p).to_bits(),
+                        "width {width}, value {v}, mask {m}, {p:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::color;
 use crate::normalize::normalize_sample;
 use crate::ops::{OpCounts, PipelineProfile, StageKind, StageProfile};
 use crate::params::{AdjustParams, BlurParams, MaskingParams, ParamError, ToneMapParams};
-use crate::sample::Sample;
+use crate::sample::{powf_clamp01_block, Sample};
 use hdr_image::rgb::{luminance_plane, reapply_color, Rgb};
 use hdr_image::{ImageBuffer, LuminanceImage, RgbImage};
 use std::fmt;
@@ -1697,6 +1697,15 @@ where
 pub fn reinhard_sample(value: f32, key: f32, white: f32) -> f32 {
     let l = key * value.max(0.0);
     (l * (1.0 + l / (white * white)) / (1.0 + l)).clamp(0.0, 1.0)
+}
+
+/// The gamma curve `Sample::powf(v, gamma).clamp01()` for every sample `v`
+/// of `row`, in place, a [`crate::fmath::LANES`] block at a time with the
+/// same lane arithmetic, so the result is bit-identical to the per-sample
+/// form the two-pass stage runs.
+pub fn gamma_row(row: &mut [f32], gamma: f32) {
+    let exponents = [gamma; crate::fmath::LANES];
+    crate::fmath::map_blocks(row, |block| powf_clamp01_block(block, &exponents));
 }
 
 /// One log-curve sample: `ln(1 + scale·x) / ln(1 + scale)`.

@@ -1,5 +1,6 @@
 //! Abstraction over the scalar type the pipeline computes in.
 
+use crate::fmath;
 use apfixed::Fix;
 
 /// A scalar sample type the tone-mapping pipeline can compute in.
@@ -37,7 +38,7 @@ pub trait Sample: Copy + PartialOrd + std::fmt::Debug + Send + Sync + 'static {
     fn powf(self, exponent: f32) -> Self;
     /// Base-2 exponential `2^self`.
     fn exp2(self) -> Self {
-        Self::from_f32(self.to_f32().exp2())
+        Self::from_f32(fmath::exp2(self.to_f32()))
     }
     /// Clamps into `[0, 1]`, the display-referred output range.
     fn clamp01(self) -> Self {
@@ -97,13 +98,31 @@ impl Sample for f32 {
         f32::mul_add(self, a, b)
     }
     fn powf(self, exponent: f32) -> Self {
-        f32::powf(self.max(0.0), exponent)
+        fmath::powf(self.max(0.0), exponent)
     }
     fn exp2(self) -> Self {
-        f32::exp2(self)
+        fmath::exp2(self)
     }
     fn bit_width() -> u32 {
         32
+    }
+}
+
+/// The block form of `Sample::powf(v, e).clamp01()` for `f32`, in place:
+/// the same lane arithmetic as the scalar calls (negative and NaN bases
+/// become zero, [`fmath::powf_block`], then the clamp), so a row run a
+/// block at a time is bit-identical to one run sample by sample.
+#[inline]
+pub(crate) fn powf_clamp01_block(
+    values: &mut [f32; fmath::LANES],
+    exponents: &[f32; fmath::LANES],
+) {
+    for v in values.iter_mut() {
+        *v = v.max(0.0);
+    }
+    fmath::powf_block(values, exponents);
+    for v in values.iter_mut() {
+        *v = v.clamp01();
     }
 }
 

@@ -74,12 +74,12 @@
 use crate::adjust::adjusted_sample;
 use crate::blur::{gaussian_kernel, quantize_kernel};
 use crate::color;
-use crate::masking::masked_sample;
+use crate::masking::mask_row;
 use crate::normalize::{normalization_scale, normalize_sample};
 use crate::params::{MaskingParams, ParamError, ToneMapParams};
 use crate::plan::{
-    execute_plan_hw_blur, histogram_equalize, log_curve_sample, reinhard_sample, run_color_plan,
-    ChannelLayout, ColorStage, PipelineOp, PipelineOpKind, PipelinePlan,
+    execute_plan_hw_blur, gamma_row, histogram_equalize, log_curve_sample, reinhard_sample,
+    run_color_plan, ChannelLayout, ColorStage, PipelineOp, PipelineOpKind, PipelinePlan,
 };
 use crate::sample::Sample;
 use hdr_image::rgb::{luminance_plane, reapply_color};
@@ -286,20 +286,20 @@ impl CompiledPointOp {
     /// is matched once per row, so each arm is a plain loop over the slice
     /// that the compiler can unroll and, where the arithmetic allows,
     /// vectorise. Every element goes through the same per-sample function
-    /// as the two-pass stage, so the result is bit-identical.
+    /// as the two-pass stage — for `Mask` and `Gamma` through its row form,
+    /// which runs the same lane arithmetic a [`crate::fmath::LANES`] block
+    /// at a time — so the result is bit-identical.
     fn apply_row(&self, row: &mut [f32], mask: Option<&[f32]>) {
         match *self {
             CompiledPointOp::Invert => map_row(row, |v| 1.0 - v),
             CompiledPointOp::Mask(masking) => {
                 let mask = mask.expect("plan validation pairs mask with blur");
-                for (v, &m) in row.iter_mut().zip(mask) {
-                    *v = masked_sample(*v, m, &masking);
-                }
+                mask_row(row, mask, &masking);
             }
             CompiledPointOp::Adjust { contrast, offset } => {
                 map_row(row, |v| adjusted_sample(v, 0.5f32, contrast, offset))
             }
-            CompiledPointOp::Gamma(gamma) => map_row(row, |v| Sample::powf(v, gamma).clamp01()),
+            CompiledPointOp::Gamma(gamma) => gamma_row(row, gamma),
             CompiledPointOp::LogCurve(scale) => map_row(row, |v| log_curve_sample(v, scale)),
             CompiledPointOp::Reinhard { key, white } => {
                 map_row(row, |v| reinhard_sample(v, key, white))
@@ -1573,9 +1573,21 @@ mod tests {
             },
             invert_input: true,
         };
+        // Strong enough that the exponent 2^(±strength·(1 − 2·mask))
+        // underflows to 0 (inverted convention) or overflows to +∞ (direct
+        // convention) across the normalized frames, so the special-case
+        // lanes of the kernel run on both planners.
+        let saturating = |invert_mask| {
+            PipelineOp::Mask(MaskingParams {
+                strength: 200.0,
+                invert_mask,
+            })
+        };
         let ops = [
             PipelineOp::Invert,
             mask,
+            saturating(true),
+            saturating(false),
             PipelineOp::Adjust(AdjustParams::paper_default()),
             PipelineOp::Gamma { gamma: 0.8 },
             PipelineOp::LogCurve { scale: 40.0 },
@@ -1597,14 +1609,19 @@ mod tests {
             .collect();
         assert_eq!(covered.len(), 13, "one plan op per compiled variant");
 
-        let frames: Vec<LuminanceImage> = [1, 7, 17, 1023].map(poisoned_frame).into();
+        // Widths on either side of the kernel's lane block, and a partial
+        // last block.
+        let lanes = crate::fmath::LANES;
+        let frames: Vec<LuminanceImage> = [1, 7, 15, 16, 17, lanes - 1, lanes, lanes + 1, 1023]
+            .map(poisoned_frame)
+            .into();
         let p = ToneMapParams::paper_default();
         for op in ops {
             // Where the op runs: alone in a point-only pass (a mask needs a
             // stencil, so it has none), in the first region's chain, in a
             // later region's chain against the upstream mask, and in the
             // epilog against the last region's mask.
-            let shapes = if op == mask {
+            let shapes = if matches!(op, PipelineOp::Mask(_)) {
                 vec![
                     ("region chain", vec![blur, op, blur, mask]),
                     ("epilog", vec![blur, op]),
