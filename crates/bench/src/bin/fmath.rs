@@ -11,6 +11,10 @@
 //!   `(1, 10⁶]`; exponents from strength-1…8 masks (`2^(s·(1 − 2m))`), the
 //!   preset gammas and log-uniform on `[2⁻¹⁰, 2¹⁰]`. Compared with
 //!   `(x as f64).powf(y as f64) as f32`, same 1 ULP bound.
+//! * **8-bit quantiser, exhaustive** — every `f32` bit pattern goes
+//!   through [`hdr_image::unit_to_u8`] and the saturating cast it
+//!   replaces, `(v.clamp(0.0, 1.0) * 255.0).round() as u8`. The gate fails
+//!   on any difference.
 //! * **Mismatches against libm** (`f32::exp2`, `f32::powf`) are counted
 //!   and reported, not gated: libm is not correctly rounded either.
 //! * **Speed** — ns/px at 1024×768, one thread, of the streaming planner's
@@ -27,8 +31,10 @@
 
 use bench::{json, write_bench_json};
 use hdr_image::synth::SceneKind;
+use hdr_image::unit_to_u8;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Add;
 use std::time::Instant;
 use tonemap_core::fmath;
 use tonemap_core::masking::{invert, mask_row};
@@ -74,15 +80,6 @@ impl Tally {
         self.off_libm += u64::from(!same(ours, libm));
     }
 
-    fn merge(mut self, other: Tally) -> Tally {
-        self.inputs += other.inputs;
-        self.max_ulps = self.max_ulps.max(other.max_ulps);
-        self.failures += other.failures;
-        self.off_reference += other.off_reference;
-        self.off_libm += other.off_libm;
-        self
-    }
-
     fn json(&self) -> String {
         json::obj([
             ("inputs", json::num(self.inputs as f64)),
@@ -101,9 +98,26 @@ impl Tally {
     }
 }
 
+impl Add for Tally {
+    type Output = Tally;
+
+    /// Merges two workers' tallies.
+    fn add(mut self, other: Tally) -> Tally {
+        self.inputs += other.inputs;
+        self.max_ulps = self.max_ulps.max(other.max_ulps);
+        self.failures += other.failures;
+        self.off_reference += other.off_reference;
+        self.off_libm += other.off_libm;
+        self
+    }
+}
+
 /// Splits `0..total` into one contiguous range per worker thread and merges
-/// the workers' tallies.
-fn parallel(total: u64, work: impl Fn(u64, u64) -> Tally + Sync) -> Tally {
+/// the workers' results.
+fn parallel<T: Send + Default + Add<Output = T>>(
+    total: u64,
+    work: impl Fn(u64, u64) -> T + Sync,
+) -> T {
     let threads = std::thread::available_parallelism()
         .map_or(1, |n| n.get())
         .min(4) as u64;
@@ -118,7 +132,7 @@ fn parallel(total: u64, work: impl Fn(u64, u64) -> Tally + Sync) -> Tally {
         handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
-            .fold(Tally::default(), Tally::merge)
+            .fold(T::default(), |a, b| a + b)
     })
 }
 
@@ -140,6 +154,17 @@ fn exhaustive_exp2() -> Tally {
             bits += n as u64;
         }
         tally
+    })
+}
+
+/// Counts the `f32` bit patterns on which [`unit_to_u8`] and the
+/// saturating cast it replaced disagree.
+fn exhaustive_quantiser() -> u64 {
+    parallel(1 << 32, |start, end| {
+        (start..end)
+            .map(|bits| f32::from_bits(bits as u32))
+            .filter(|&v| unit_to_u8(v) != (v.clamp(0.0, 1.0) * 255.0).round() as u8)
+            .count() as u64
     })
 }
 
@@ -282,6 +307,13 @@ fn main() {
         powf.off_libm as f64 / powf.inputs as f64,
     );
 
+    let started = Instant::now();
+    let quantiser_differences = exhaustive_quantiser();
+    println!(
+        "unit_to_u8, all 2^32 inputs ({:.1} s): {quantiser_differences} differ from the saturating cast",
+        started.elapsed().as_secs_f64(),
+    );
+
     let mask_speedup = arms.mask_libm / arms.mask_kernel;
     println!("row arms at {WIDTH}x{HEIGHT}, one thread, best of {reps}:");
     println!(
@@ -301,6 +333,13 @@ fn main() {
             ("gate", json::string("fmath")),
             ("exp2_exhaustive", exp2.json()),
             ("powf_seeded", powf.json()),
+            (
+                "quantiser_exhaustive",
+                json::obj([
+                    ("inputs", json::num((1u64 << 32) as f64)),
+                    ("differ_from_cast", json::num(quantiser_differences as f64)),
+                ]),
+            ),
             ("width", json::num(WIDTH as f64)),
             ("height", json::num(HEIGHT as f64)),
             ("reps", json::num(reps as f64)),
@@ -325,6 +364,10 @@ fn main() {
 
     assert_eq!(exp2.failures, 0, "exp2 is more than 1 ULP off");
     assert_eq!(powf.failures, 0, "powf is more than 1 ULP off");
+    assert_eq!(
+        quantiser_differences, 0,
+        "unit_to_u8 differs from the saturating cast"
+    );
     assert!(
         mask_speedup >= REQUIRED_MASK_SPEEDUP,
         "Mask arm speedup {mask_speedup:.2}x fell below the required {REQUIRED_MASK_SPEEDUP:.1}x"

@@ -14,6 +14,11 @@
 //!   *single-threaded* streaming pass must be at least 2× faster than the
 //!   two-pass `sw-f32` reference. The run fails (non-zero exit) otherwise.
 //!
+//! * **Stencil attribution** (reported, not gated) — the same single-thread
+//!   pass with a 3-tap blur. The difference between the 41-tap and the
+//!   3-tap ns/pixel is the stencil premium: what the cascade's 38 extra
+//!   taps per pass cost.
+//!
 //! The measured seconds, speedup ratios and ns/pixel figures are persisted
 //! to `BENCH_streaming.json` in the working directory.
 //!
@@ -132,6 +137,13 @@ fn main() {
         sink += streaming.map_luminance(&hdr).pixels()[0];
     });
 
+    let mut three_tap_params = params;
+    three_tap_params.blur.radius = 1;
+    let three_tap = StreamingToneMapper::<f32>::new(three_tap_params);
+    let three_tap_seconds = time_best(iterations, || {
+        sink += three_tap.map_luminance(&hdr).pixels()[0];
+    });
+
     let threads = tonemap_backend::default_stream_threads();
     let threaded = StreamingToneMapper::<f32>::new(params).with_threads(threads);
     let threaded_seconds = time_best(iterations, || {
@@ -152,6 +164,11 @@ fn main() {
         "  {:<30} {threaded_seconds:>8.3} s  ({:.2}x)",
         format!("streaming, {threads} thread(s)"),
         reference_seconds / threaded_seconds
+    );
+    println!(
+        "  {:<30} {three_tap_seconds:>8.3} s  (stencil premium {:.2} ns/px)",
+        "streaming, 1 thread, 3 taps",
+        (streaming_seconds - three_tap_seconds) * 1e9 / (WIDTH * HEIGHT) as f64
     );
     println!();
     println!(
@@ -183,6 +200,11 @@ fn main() {
                     ("two_pass", ns_per_pixel(reference_seconds)),
                     ("streaming", ns_per_pixel(streaming_seconds)),
                     ("threaded", ns_per_pixel(threaded_seconds)),
+                    ("streaming_3tap", ns_per_pixel(three_tap_seconds)),
+                    (
+                        "stencil_premium",
+                        ns_per_pixel(streaming_seconds - three_tap_seconds),
+                    ),
                 ]),
             ),
             ("required_speedup", json::num(REQUIRED_SPEEDUP)),

@@ -849,15 +849,17 @@ fn run_fused_segment<S: Sample>(
 /// buffer (`hrows`, horizontally blurred in `S`) plus the region's own
 /// chain-output rows (`vrows`, the `f32` value stream the next region — or
 /// the epilog — reads). Both rings hold `min(2·radius + 1, height)` rows
-/// and are indexed by source row modulo ring length. Nothing here scales
-/// with the image height.
+/// and are indexed by source row modulo ring length. The vertical pass
+/// accumulates in registers ([`stencil_rows`]) and stores straight into the
+/// mask row, so no accumulator row is kept. Nothing here scales with the
+/// image height.
 struct RegionState<S: Sample> {
     hrows: Vec<Vec<S>>,
     vrows: Vec<Vec<f32>>,
     /// Edge-padded scratch row for the horizontal blur.
     padded: Vec<S>,
-    /// Vertical accumulator scratch row.
-    vacc: Vec<S>,
+    /// The ring slot each vertical tap reads for the current output row.
+    tap_slots: Vec<usize>,
     /// Scratch row receiving the upstream region's mask stream (empty for
     /// the first region, which reads the segment input).
     up_mask: Vec<f32>,
@@ -881,7 +883,7 @@ impl<S: Sample> RegionState<S> {
             hrows: vec![vec![S::zero(); width]; len],
             vrows: vec![vec![0.0f32; width]; len],
             padded: vec![S::zero(); width + 2 * radius],
-            vacc: vec![S::zero(); width],
+            tap_slots: vec![0; taps],
             up_mask,
             next_row: None,
         }
@@ -931,10 +933,11 @@ fn run_rows<S: Sample>(
 /// window needs from the upstream regions (recursively — `regions` and
 /// `states` are parallel slices split from the back), runs its point chain
 /// over them, horizontally blurs them into its ring, then applies the
-/// vertical taps. Rows are requested in strictly increasing order, so each
-/// region's lazy `next_row` cursor advances monotonically and every ring
-/// slot is consumed before it is overwritten (ring length ≥ radius + 1
-/// rows beyond the newest consumer row).
+/// vertical taps to the ring rows with [`stencil_rows`], whose register
+/// tiles store straight into `mask_out`. Rows are requested in strictly
+/// increasing order, so each region's lazy `next_row` cursor advances
+/// monotonically and every ring slot is consumed before it is overwritten
+/// (ring length ≥ radius + 1 rows beyond the newest consumer row).
 fn emit_row<S: Sample>(
     regions: &[Region<S>],
     states: &mut [RegionState<S>],
@@ -992,23 +995,13 @@ fn emit_row<S: Sample>(
     }
     state.next_row = Some(next);
 
-    // Vertical pass over the ring, tap-major so the inner loop walks each
-    // buffered row sequentially. Per output sample the taps are applied in
-    // the same ascending order as the two-pass reference, so the
-    // accumulation is bit-identical.
-    for a in state.vacc.iter_mut() {
-        *a = S::zero();
+    // Vertical pass over the ring: tap k reads source row y + k − radius,
+    // clamped to the image, from its ring slot.
+    for (k, slot) in state.tap_slots.iter_mut().enumerate() {
+        *slot = (y + k).saturating_sub(radius).min(height - 1) % len;
     }
-    for (k, &weight) in kernel.iter().enumerate() {
-        let source_row = (y + k).saturating_sub(radius).min(height - 1);
-        let row = &state.hrows[source_row % len];
-        for (acc, &sample) in state.vacc.iter_mut().zip(row.iter()) {
-            *acc = weight.mul_add(sample, *acc);
-        }
-    }
-    for (m, acc) in mask_out.iter_mut().zip(state.vacc.iter()) {
-        *m = acc.to_f32();
-    }
+    let (hrows, tap_slots) = (&state.hrows, &state.tap_slots);
+    stencil_rows(kernel, |k| &hrows[tap_slots[k]], mask_out, S::to_f32);
     v_out.copy_from_slice(&state.vrows[y % len]);
 }
 
@@ -1018,9 +1011,10 @@ fn emit_row<S: Sample>(
 /// The row is quantised at the accelerator boundary (with the Moroney
 /// inversion applied first, in `f32`, when the region asks for it), then
 /// edge-padded by `radius` replicated samples so the horizontal window
-/// never needs a clamp; the blur itself runs tap-major with unit-stride
-/// loads. Per output sample the taps are applied in ascending order,
-/// matching [`crate::blur::blur_horizontal`] bit-for-bit.
+/// never needs a clamp: tap `k` of output `x` reads `padded[x + k]`, so
+/// [`stencil_rows`] sees the `2·radius + 1` shifted windows of the padded
+/// row as its tap rows, and the sums match
+/// [`crate::blur::blur_horizontal`] bit-for-bit.
 fn fill_blurred_row<S: Sample>(
     dst: &mut [S],
     padded: &mut [S],
@@ -1039,13 +1033,63 @@ fn fill_blurred_row<S: Sample>(
     padded[..radius].fill(first);
     padded[radius + width..].fill(last);
 
-    for d in dst.iter_mut() {
-        *d = S::zero();
+    let padded = &*padded;
+    stencil_rows(kernel, |k| &padded[k..k + width], dst, |acc| acc);
+}
+
+/// Columns per register tile of [`stencil_rows`]. 64 `f32` partial sums
+/// are eight 256-bit registers, which stay live across the whole tap loop;
+/// 64 measured fastest for both passes.
+const TILE: usize = 64;
+
+/// The stencil kernel of both passes:
+/// `out[x] = store(Σₖ kernel[k] · tap(k)[x])`, where `tap(k)` is the row
+/// tap `k` reads, indexed by output column.
+///
+/// Per output sample the taps are applied by `mul_add` in ascending order
+/// from zero, as in [`crate::blur::blur_horizontal`] and
+/// [`crate::blur::blur_vertical`], so the sums are bit-identical to theirs.
+/// Only the loop nest differs: the row is cut into tiles of [`TILE`]
+/// columns, each tile's partial sums stay in a local array (registers, for
+/// `f32`) while every tap sweeps it, and the tile is stored once. A
+/// tap-major loop over the whole row would load and store every partial
+/// sum once per tap instead. The ragged last tile runs the same per-lane
+/// code over fewer lanes.
+fn stencil_rows<'a, S: Sample, T>(
+    kernel: &[S],
+    tap: impl Fn(usize) -> &'a [S],
+    out: &mut [T],
+    store: impl Fn(S) -> T,
+) {
+    for (tile, out_tile) in out.chunks_mut(TILE).enumerate() {
+        let x0 = tile * TILE;
+        let mut acc = [S::zero(); TILE];
+        // A full tile passes the whole array, so the inlined lane loop has
+        // a constant trip count and the sums stay in registers.
+        if out_tile.len() == TILE {
+            accumulate_tile(&mut acc, x0, kernel, &tap);
+        } else {
+            accumulate_tile(&mut acc[..out_tile.len()], x0, kernel, &tap);
+        }
+        for (o, &a) in out_tile.iter_mut().zip(&acc) {
+            *o = store(a);
+        }
     }
+}
+
+/// Applies every tap, in ascending order, to the partial sums of the
+/// columns `x0 .. x0 + lanes.len()`.
+#[inline(always)]
+fn accumulate_tile<'a, S: Sample>(
+    lanes: &mut [S],
+    x0: usize,
+    kernel: &[S],
+    tap: &impl Fn(usize) -> &'a [S],
+) {
     for (k, &weight) in kernel.iter().enumerate() {
-        let window = &padded[k..k + width];
-        for (d, &sample) in dst.iter_mut().zip(window) {
-            *d = weight.mul_add(sample, *d);
+        let samples = &tap(k)[x0..x0 + lanes.len()];
+        for (a, &sample) in lanes.iter_mut().zip(samples) {
+            *a = weight.mul_add(sample, *a);
         }
     }
 }
@@ -1143,6 +1187,57 @@ mod tests {
             let classic_fx = ToneMapper::new(p).map_luminance_hw_blur::<Fix16>(&hdr);
             let streaming_fx = StreamingToneMapper::<Fix16>::new(p).map_luminance(&hdr);
             assert_eq!(streaming_fx, classic_fx, "Fix16 diverged at {w}x{h}");
+        }
+    }
+
+    /// Streams `plan` at widths on both sides of every tile boundary of the
+    /// stencil kernel, at heights below and above its tap count, on 1–3
+    /// threads, and compares every output bit with the two-pass planner.
+    fn assert_tile_boundaries_match<S: Sample>(plan: &PipelinePlan, params: ToneMapParams) {
+        let streaming = StreamingToneMapper::<S>::compile(plan.clone(), params).unwrap();
+        let two_pass = ToneMapper::compile(plan.clone(), params).unwrap();
+        let taps = streaming.kernel().len();
+        let widths = [
+            1,
+            TILE - 1,
+            TILE,
+            TILE + 1,
+            2 * TILE - 1,
+            2 * TILE,
+            2 * TILE + 1,
+            200,
+        ];
+        for width in widths {
+            for height in [taps / 2, taps + 4] {
+                let hdr = SceneKind::SunAndShadow.generate(width, height, 11);
+                let expected = two_pass.map_luminance_hw_blur::<S>(&hdr);
+                for threads in 1..=3 {
+                    let streamed = streaming.clone().with_threads(threads);
+                    assert_eq!(
+                        bits(&streamed.map_luminance(&hdr)),
+                        bits(&expected),
+                        "{taps}-tap plan diverged at {width}x{height}, {threads} thread(s)"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stencil_tiles_are_bit_identical_to_two_pass_at_every_boundary() {
+        let paper = ToneMapParams::paper_default();
+        let mut three_tap = paper;
+        three_tap.blur.radius = 1;
+        let basedetail = PipelinePlan::preset("basedetail", &paper, &PlanTuning::default())
+            .unwrap()
+            .unwrap();
+        for (plan, params) in [
+            (PipelinePlan::from_params(&paper), paper),
+            (PipelinePlan::from_params(&three_tap), three_tap),
+            (basedetail, paper),
+        ] {
+            assert_tile_boundaries_match::<f32>(&plan, params);
+            assert_tile_boundaries_match::<Fix16>(&plan, params);
         }
     }
 

@@ -328,10 +328,36 @@ impl ImageBuffer<f32> {
     }
 
     /// Converts a normalised (`[0, 1]`) image to an 8-bit display image,
-    /// clamping out-of-range values.
+    /// clamping out-of-range values; each pixel goes through [`unit_to_u8`].
     pub fn to_ldr(&self) -> ImageBuffer<u8> {
-        self.map(|&v| (v.clamp(0.0, 1.0) * 255.0).round() as u8)
+        self.map(|&v| unit_to_u8(v))
     }
+}
+
+/// Quantises a display-referred value to 8 bits: `v` clamped to `[0, 1]`,
+/// scaled by 255 and rounded half away from zero; NaN maps to 0.
+///
+/// The result equals `(v.clamp(0.0, 1.0) * 255.0).round() as u8` for every
+/// one of the 2³² `f32` inputs, but the saturating `as u8` cast lowers to
+/// one scalar conversion per value, while this form vectorises: a compare
+/// and select clamp (which, unlike `f32::clamp`, sends NaN to 0), and
+/// adding 2²³ to the rounded value, an integer in `0..=255`, leaves it in
+/// the low mantissa bits.
+///
+/// ```
+/// use hdr_image::unit_to_u8;
+///
+/// assert_eq!(unit_to_u8(0.5), 128);
+/// assert_eq!(unit_to_u8(-1.0), 0);
+/// assert_eq!(unit_to_u8(2.0), 255);
+/// assert_eq!(unit_to_u8(f32::NAN), 0);
+/// ```
+#[inline]
+pub fn unit_to_u8(v: f32) -> u8 {
+    const SHIFT: f32 = (1u32 << 23) as f32;
+    let clamped = if v > 0.0 { v.min(1.0) } else { 0.0 };
+    let rounded = (clamped * 255.0).round();
+    ((rounded + SHIFT).to_bits() & 0xff) as u8
 }
 
 impl<T> fmt::Display for ImageBuffer<T> {
@@ -453,6 +479,72 @@ mod tests {
         let img = ImageBuffer::from_vec(2, 2, vec![-0.5f32, 0.0, 0.5, 2.0]).unwrap();
         let ldr = img.to_ldr();
         assert_eq!(ldr.pixels(), &[0, 0, 128, 255]);
+    }
+
+    /// The saturating-cast quantiser [`unit_to_u8`] replaces.
+    fn cast_quantiser(v: f32) -> u8 {
+        (v.clamp(0.0, 1.0) * 255.0).round() as u8
+    }
+
+    fn assert_quantiser_matches(v: f32) {
+        assert_eq!(
+            unit_to_u8(v),
+            cast_quantiser(v),
+            "{v:e} (bits {:#010x})",
+            v.to_bits()
+        );
+    }
+
+    #[test]
+    fn unit_to_u8_matches_the_cast_on_a_stride_of_bit_patterns() {
+        // 4099 is prime, so the stride visits every exponent and sign.
+        for bits in (0..=u32::MAX).step_by(4099) {
+            assert_quantiser_matches(f32::from_bits(bits));
+        }
+    }
+
+    #[test]
+    fn unit_to_u8_matches_the_cast_at_every_rounding_tie() {
+        for k in 0..255u32 {
+            // The f32 nearest (k + ½)/255, and its neighbours: one of them
+            // scales to exactly k + ½ or straddles it.
+            let tie = ((f64::from(k) + 0.5) / 255.0) as f32;
+            let down = f32::from_bits(tie.to_bits() - 1);
+            let up = f32::from_bits(tie.to_bits() + 1);
+            for v in [down, tie, up] {
+                assert_quantiser_matches(v);
+            }
+        }
+    }
+
+    #[test]
+    fn unit_to_u8_matches_the_cast_on_special_values() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0x7fc0_beef),
+            f32::from_bits(0xffff_ffff),
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            f32::from_bits(f32::MIN_POSITIVE.to_bits() - 1),
+            -f32::from_bits(1),
+            1.0,
+            1.0 + f32::EPSILON,
+            1.0 - f32::EPSILON / 2.0,
+            -1.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for v in specials {
+            assert_quantiser_matches(v);
+        }
+        assert_eq!(unit_to_u8(f32::NAN), 0);
+        assert_eq!(unit_to_u8(1.0 + f32::EPSILON), 255);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod rgb;
 pub mod sequence;
 pub mod synth;
 
-pub use buffer::ImageBuffer;
+pub use buffer::{unit_to_u8, ImageBuffer};
 pub use error::ImageError;
 pub use rgb::Rgb;
 

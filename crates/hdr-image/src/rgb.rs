@@ -153,9 +153,10 @@ pub fn reapply_color(
     })
 }
 
-/// Converts a normalised HDR RGB image to an 8-bit display image.
+/// Converts a normalised HDR RGB image to an 8-bit display image, each
+/// channel through [`unit_to_u8`](crate::unit_to_u8).
 pub fn to_ldr_rgb(image: &RgbImage) -> ImageBuffer<Rgb<u8>> {
-    image.map(|p| p.clamp(0.0, 1.0).map(|c| (c * 255.0).round() as u8))
+    image.map(|p| p.map(crate::unit_to_u8))
 }
 
 #[cfg(test)]
